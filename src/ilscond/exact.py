@@ -4,8 +4,8 @@ Covers the unified weighted form under the induced (2,2) and (inf,inf)
 norms, the two equivalent 2-norm closed forms, the infinity-norm mixed and
 componentwise forms, and an independent SVD-based cross-check for the
 ordinary least squares reduction.  The first-order map from (dA, db) to
-d(L^T x) is available dense or in a row-structured form that never
-materializes the m*n + m columns.
+d(L^T x) is row-structured: its 2-norms come from a k x k Gram matrix and
+its infinity norms from row sums, so no m*n + m column matrix is formed.
 """
 
 from dataclasses import dataclass
@@ -44,6 +44,8 @@ class CondParams:
             raise ValueError("norm_mode must be 'two' or 'inf'")
         for name in ("psi", "beta", "xi"):
             w = getattr(self, name)
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"weight {name} must be finite")
             if np.isscalar(w) and not w > 0:
                 raise ValueError(f"scalar weight {name} must be strictly positive")
 
@@ -177,6 +179,20 @@ class JacobianMg:
             self._dense = out
         return self._dense
 
+    def weighted_gram(self, Wa, wb, rowscale=None):
+        """Gram matrix F F^T (k x k) of F = diag(rowscale) Mg diag([vec(Wa); wb]).
+
+        Formed in O(m n k + k^2 (m + n)) without the m n + m columns.
+        """
+        W2 = np.square(np.asarray(Wa, dtype=float))
+        UCV = self.U.T @ ((W2 * np.outer(self.w, self.x)).T @ self.V)
+        G = self.U.T @ ((W2.T @ self.w**2)[:, None] * self.U)
+        G += self.V.T @ ((W2 @ self.x**2 + np.ravel(wb) ** 2)[:, None] * self.V)
+        G -= UCV + UCV.T
+        if rowscale is not None:
+            G *= np.outer(rowscale, rowscale)
+        return G
+
     def abs_weighted_rowsums(self, Wa, wb):
         """Rows of |Mg| times the stacked nonnegative weights [vec(Wa); wb].
 
@@ -233,25 +249,21 @@ def _induced_norm(mat, mu, nu):
 def kappa_unified(problem, params, mu=2, nu=2):
     """Weighted condition number under the induced (mu, nu) operator norm.
 
-    Supports (2, 2) through the dense weighted map (spectral norm) and
-    (inf, inf) through the row-structured absolute-value products; other
-    norm pairs are not implemented.
+    Supports (2, 2) through the k x k Gram matrix of the weighted map
+    (spectral norm) and (inf, inf) through the row-structured absolute-value
+    products; other norm pairs raise NotImplementedError before any work.
     """
-    L = params.l_matrix(problem.n)
-    jac = JacobianMg.for_ils(problem, L)
+    if (mu, nu) not in ((2, 2), (np.inf, np.inf)):
+        raise NotImplementedError(f"induced ({mu}, {nu})-norm is not supported")
+    jac = JacobianMg.for_ils(problem, params.l_matrix(problem.n))
     xi = params.xi_vector(jac.k)
-    if mu == np.inf and nu == np.inf:
-        Wa = np.abs(params.psi_matrix(problem.m, problem.n))
-        wb = np.abs(params.beta_vector(problem.m))
-        num = jac.abs_weighted_rowsums(Wa, wb)
+    Wa = params.psi_matrix(problem.m, problem.n)
+    wb = params.beta_vector(problem.m)
+    if mu == np.inf:
+        num = jac.abs_weighted_rowsums(np.abs(Wa), np.abs(wb))
         return float(np.max(np.abs(entrywise_div(num, np.abs(xi)))))
-    mat = jac.dense().copy()
-    wcol = np.concatenate(
-        [vec(params.psi_matrix(problem.m, problem.n)), params.beta_vector(problem.m)]
-    )
-    mat *= wcol[None, :]
-    mat *= ddagger(xi)[:, None]
-    return _induced_norm(mat, mu, nu)
+    G = jac.weighted_gram(Wa, wb, ddagger(xi))
+    return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
 
 
 def normwise_map(problem, params):

@@ -107,27 +107,14 @@ def tls_jacobian(tls, L=None):
 def kappa_2tls(tls, params=None):
     """Partial 2-norm TLS condition number (scalar weights).
 
-    Dense evaluation of the k x (mn + m) weighted map under the memory
-    guard; beyond the guard the k x k Gram form of the same matrix is used.
+    The spectral norm of the k x (mn + m) weighted map, taken from its
+    k x k Gram matrix without forming the map.
     """
     params = params or CondParams()
     psi, beta, xi = params.scalars()
     jac = tls_jacobian(tls, params.l_matrix(tls.n))
-    entries = jac.k * (jac.m * jac.n + jac.m)
-    if entries <= 50_000_000:
-        mat = jac.dense().copy()
-        mat[:, : jac.m * jac.n] *= psi
-        mat[:, jac.m * jac.n:] *= beta
-        return float(np.linalg.norm(mat, 2)) / xi
-    rn2 = float(jac.w @ jac.w)
-    xn2 = float(jac.x @ jac.x)
-    ux = jac.U.T @ jac.x
-    vr = jac.V.T @ jac.w
-    G = rn2 * (jac.U.T @ jac.U) + xn2 * (jac.V.T @ jac.V)
-    G -= np.outer(ux, vr) + np.outer(vr, ux)
-    G = psi**2 * G + beta**2 * (jac.V.T @ jac.V)
-    G = 0.5 * (G + G.T)
-    return float(np.sqrt(max(np.linalg.norm(G, 2), 0.0))) / xi
+    G = jac.weighted_gram(np.full((tls.m, tls.n), psi), np.full(tls.m, beta))
+    return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0))) / xi
 
 
 def kappa_mixed_tls(tls, params=None):

@@ -15,13 +15,22 @@ from ilscond import (
     kappa_mixed,
     kappa_unified,
 )
-from ilscond.kron import entrywise_div, vec
+from ilscond.bench import gen_example2
+from ilscond.exact import JacobianMg
+from ilscond.kron import ddagger, entrywise_div, vec
 
 from conftest import dense_mg_oracle, directional_derivative, random_ils
 
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def weighted_dense_norm(dense, params, m, n):
+    """SVD spectral norm of diag(xi^ddagger) * dense * diag([vec(psi); beta])."""
+    w = np.concatenate([vec(params.psi_matrix(m, n)), params.beta_vector(m)])
+    rows = ddagger(params.xi_vector(dense.shape[0]))
+    return np.linalg.norm(rows[:, None] * dense * w[None, :], 2)
 
 
 class TestBuildMg:
@@ -120,6 +129,13 @@ class TestKappaUnified:
         with pytest.raises(NotImplementedError):
             kappa_unified(prob, CondParams(), 2, np.inf)
 
+    @pytest.mark.parametrize("mu, nu", [(2, np.inf), (np.inf, 2), (1, 1)])
+    def test_unsupported_norm_pair_checked_before_any_work(self, rng, monkeypatch, mu, nu):
+        prob = random_ils(rng, m=8, n=4)
+        monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
+        with pytest.raises(NotImplementedError):
+            kappa_unified(prob, CondParams(), mu, nu)
+
     def test_elementwise_zero_weight_drops_column(self, rng):
         prob = random_ils(rng, m=7, n=3)
         psi = np.ones(prob.A.shape)
@@ -129,6 +145,97 @@ class TestKappaUnified:
         w = np.concatenate([vec(psi), np.ones(prob.m)])
         expected = np.linalg.norm(dense * w[None, :], 2)
         assert rel_err(kappa_unified(prob, params, 2, 2), expected) <= 1e-12
+
+
+class TestWeightedGram:
+    def test_gram_equals_product_of_dense_map(self, rng):
+        prob = random_ils(rng, m=9, n=4)
+        jac = build_mg(prob, CondParams(L=rng.standard_normal((prob.n, 3))))
+        Wa = rng.standard_normal(prob.A.shape)
+        wb = rng.standard_normal(prob.m)
+        s = rng.standard_normal(jac.k)
+        F = s[:, None] * jac.dense() * np.concatenate([vec(Wa), wb])[None, :]
+        expected = F @ F.T
+        np.testing.assert_allclose(
+            jac.weighted_gram(Wa, wb, s), expected, rtol=0,
+            atol=1e-12 * np.abs(expected).max(),
+        )
+
+    def test_scalar_weights_partial_l_match_kronecker_oracle(self, rng):
+        for _ in range(5):
+            prob = random_ils(rng, m=10, n=5)
+            L = rng.standard_normal((prob.n, 2))
+            params = CondParams(L=L, psi=1.3, beta=0.7, xi=2.0)
+            expected = weighted_dense_norm(dense_mg_oracle(prob, L), params, prob.m, prob.n)
+            assert rel_err(kappa_unified(prob, params, 2, 2), expected) <= 1e-12
+
+    def test_elementwise_weights_with_zeros_match_kronecker_oracle(self, rng):
+        prob = random_ils(rng, m=12, n=5)
+        psi = np.abs(rng.standard_normal(prob.A.shape))
+        psi[0, 0] = psi[3, 2] = 0.0
+        beta = np.abs(rng.standard_normal(prob.m))
+        beta[4] = 0.0
+        params = CondParams(psi=psi, beta=beta)
+        expected = weighted_dense_norm(dense_mg_oracle(prob), params, prob.m, prob.n)
+        assert rel_err(kappa_unified(prob, params, 2, 2), expected) <= 1e-12
+
+    def test_elementwise_xi_with_zero_entry_matches_kronecker_oracle(self, rng):
+        prob = random_ils(rng, m=11, n=4)
+        xi = np.abs(rng.standard_normal(prob.n)) + 0.1
+        xi[2] = 0.0
+        params = CondParams(xi=xi)
+        expected = weighted_dense_norm(dense_mg_oracle(prob), params, prob.m, prob.n)
+        assert rel_err(kappa_unified(prob, params, 2, 2), expected) <= 1e-12
+
+    def test_near_zero_residual_matches_kronecker_oracle(self, rng):
+        prob = random_ils(rng, m=12, n=5, rho=1e-12)
+        L = rng.standard_normal((prob.n, 3))
+        params = CondParams(L=L, psi=0.9, beta=1.4)
+        expected = weighted_dense_norm(dense_mg_oracle(prob, L), params, prob.m, prob.n)
+        assert rel_err(kappa_unified(prob, params, 2, 2), expected) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::ilscond.ils.IllConditionedWarning")
+    @pytest.mark.parametrize("kappa", [1e8, 1e10])
+    @pytest.mark.parametrize("rho", [1.0, 1e-12])
+    def test_ill_conditioned_example2(self, rng, kappa, rho):
+        # cond(A^T J A) ~ kappa^2, so an LU-built oracle differs from the
+        # Cholesky generators by eps * kappa^2; the dense map assembled from
+        # the same generators isolates the Gram kernel's own error.
+        prob, _, _ = gen_example2(40, 12, 28, kappa, rho, seed=3)
+        L = rng.standard_normal((prob.n, 4))
+        for params in (CondParams(), CondParams(L=L, psi=0.7, beta=1.3, xi=2.0)):
+            dense = JacobianMg.for_ils(prob, params.l_matrix(prob.n)).dense()
+            got = kappa_unified(prob, params, 2, 2)
+            assert rel_err(got, weighted_dense_norm(dense, params, prob.m, prob.n)) <= 1e-12
+            assert rel_err(got, kappa_2ils(prob, params)) <= 1e-9
+
+    def test_does_not_materialise_the_map(self, rng, monkeypatch):
+        prob = random_ils(rng, m=10, n=4)
+        cases = [
+            CondParams(L=rng.standard_normal((prob.n, 2)), psi=1.2, xi=0.5),
+            CondParams(psi=np.abs(rng.standard_normal(prob.A.shape)),
+                       beta=np.abs(rng.standard_normal(prob.m))),
+        ]
+        before = [kappa_unified(prob, p, 2, 2) for p in cases]
+        monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
+        assert [kappa_unified(prob, p, 2, 2) for p in cases] == before
+
+
+class TestCondParamsValidation:
+    @pytest.mark.parametrize("name, value", [
+        pytest.param("psi", np.inf, id="psi-inf"),
+        pytest.param("beta", np.inf, id="beta-inf"),
+        pytest.param("xi", np.nan, id="xi-nan"),
+        pytest.param("psi", np.array([[1.0, np.nan], [0.0, 2.0]]), id="psi-elementwise-nan"),
+        pytest.param("beta", np.array([1.0, -np.inf]), id="beta-elementwise-inf"),
+        pytest.param("xi", np.array([np.nan, 1.0]), id="xi-elementwise-nan"),
+    ])
+    def test_non_finite_weight_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            CondParams(**{name: value})
+
+    def test_zero_elementwise_weights_accepted(self):
+        CondParams(psi=np.zeros((3, 2)), beta=np.zeros(3), xi=np.zeros(2))
 
 
 class TestKappa2:

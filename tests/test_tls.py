@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ilscond.exact
 from ilscond import (
     CondParams,
     IlsProblem,
@@ -102,6 +103,42 @@ class TestKappa2Tls:
         tls = solve_tls(A, b)
         expected = np.linalg.norm(dense_tls_map(tls), 2)
         assert rel_err(kappa_2tls(tls), expected) <= 1e-10
+
+    def test_weighted_partial_matches_dense_kronecker_oracle(self, rng):
+        for _ in range(5):
+            A, b = random_tls(rng, m=11, n=4)
+            tls = solve_tls(A, b)
+            L = rng.standard_normal((4, 2))
+            psi, beta, xi = 1.2, 0.7, 1.5
+            mat = dense_tls_map(tls, L)
+            mat[:, : 11 * 4] *= psi
+            mat[:, 11 * 4 :] *= beta
+            expected = np.linalg.norm(mat, 2) / xi
+            got = kappa_2tls(tls, CondParams(L=L, psi=psi, beta=beta, xi=xi))
+            assert rel_err(got, expected) <= 1e-12
+
+    def test_ill_conditioned_matches_materialised_map(self, rng):
+        # cond(A) = 1e5 gives cond(Mt) ~ 1e10, so an inverse-built oracle
+        # differs from the Cholesky generators by eps * 1e10; the dense map
+        # from the same generators isolates the Gram kernel's own error.
+        m, n = 30, 6
+        Q, _ = np.linalg.qr(rng.standard_normal((m, n)))
+        W, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        s = np.logspace(0, -5, n)
+        A = (Q * s) @ W.T
+        b = A @ rng.standard_normal(n) + 1e-3 * s[-1] * rng.standard_normal(m)
+        tls = solve_tls(A, b)
+        for L in (None, rng.standard_normal((n, 3))):
+            expected = np.linalg.norm(tls_jacobian(tls, L).dense(), 2)
+            assert rel_err(kappa_2tls(tls, CondParams(L=L)), expected) <= 1e-12
+
+    def test_does_not_materialise_the_map(self, rng, monkeypatch):
+        A, b = random_tls(rng, m=10, n=3)
+        tls = solve_tls(A, b)
+        params = CondParams(L=rng.standard_normal((3, 2)), psi=1.1, beta=0.9, xi=1.3)
+        before = [kappa_2tls(tls), kappa_2tls(tls, params)]
+        monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
+        assert [kappa_2tls(tls), kappa_2tls(tls, params)] == before
 
     def test_continuity_toward_consistency(self, rng):
         A = rng.standard_normal((10, 3))

@@ -16,9 +16,9 @@ from .estimate import (
 )
 from .exact import (
     CondParams,
+    ConditionReport,
     JacobianMg,
     UndefinedConditionNumber,
-    build_mg,
     kappa_2ils,
     kappa_2ils_cross,
     kappa_componentwise,
@@ -32,17 +32,15 @@ from .ils import (
     IlsSolution,
     NotPositiveDefinite,
     SignatureSplit,
-    apply_minv,
     check_spd,
     solve_ils,
 )
-from .kron import VecPermutation, entrywise_div, kron_apply, unvec, vec, vec_perm_apply
+from .kron import entrywise_div, unvec, vec
 from .probfile import load_problem, save_problem
 from .structured import (
     StructureBasis,
     StructureMismatch,
     StructuredParams,
-    extract,
     kappa_2ils_structured,
     kappa_componentwise_structured,
     kappa_inf_structured_general,
@@ -58,7 +56,6 @@ from .tls import (
     kappa_componentwise_tls,
     kappa_composed_ils,
     kappa_mixed_tls,
-    kappa_structured_tls,
     solve_tls,
     tls_blocks,
     tls_jacobian,
@@ -67,6 +64,7 @@ from .tls import (
 __all__ = [
     "CondParams",
     "ComposedBlocks",
+    "ConditionReport",
     "IllConditionedWarning",
     "IlsProblem",
     "IlsSolution",
@@ -82,15 +80,11 @@ __all__ = [
     "TlsNotGeneric",
     "TlsProblem",
     "UndefinedConditionNumber",
-    "VecPermutation",
-    "apply_minv",
-    "build_mg",
     "check_spd",
     "entrywise_div",
     "estimate_kappa2_pce",
     "estimate_kappa2_ssce",
     "estimate_kappa_inf_ssce",
-    "extract",
     "kappa_2ils",
     "kappa_2ils_cross",
     "kappa_2ils_structured",
@@ -104,9 +98,7 @@ __all__ = [
     "kappa_mixed",
     "kappa_mixed_structured",
     "kappa_mixed_tls",
-    "kappa_structured_tls",
     "kappa_unified",
-    "kron_apply",
     "load_problem",
     "make_basis",
     "save_problem",
@@ -117,7 +109,6 @@ __all__ = [
     "tls_jacobian",
     "unvec",
     "vec",
-    "vec_perm_apply",
     "wallis",
 ]
 

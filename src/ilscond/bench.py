@@ -20,15 +20,9 @@ import scipy.linalg
 
 from .estimate import SsceConfig, estimate_kappa2_pce, estimate_kappa2_ssce, \
     estimate_kappa_inf_ssce
-from .exact import CondParams, kappa_2ils, kappa_componentwise, kappa_mixed
+from .exact import CondParams, ConditionReport, kappa_2ils
 from .ils import IllConditionedWarning, IlsProblem, NotPositiveDefinite, SignatureSplit
-from .structured import (
-    StructuredParams,
-    kappa_2ils_structured,
-    kappa_componentwise_structured,
-    kappa_mixed_structured,
-    make_basis,
-)
+from .structured import StructuredParams, make_basis
 
 MAX_GENERATION_ATTEMPTS = 20
 
@@ -270,8 +264,8 @@ def _run_trial(config, kappa_label, rho, rng):
     if config.example == "ex2":
         problem, _, _ = gen_example2(config.m, config.n, config.p,
                                      kappa_label, rho, rng)
-        km = kappa_mixed(problem, params)
-        kc = kappa_componentwise(problem, params)
+        report = ConditionReport(problem, params)
+        km, kc = report.mixed, report.componentwise
         sm, sc = estimate_kappa_inf_ssce(problem, params,
                                          SsceConfig(k=config.k, rng=rng))
         return {
@@ -281,11 +275,10 @@ def _run_trial(config, kappa_label, rho, rng):
         }
     problem, sparams, _, _ = gen_example3(config.n, rho, rng)
     k2 = kappa_2ils(problem, params)
-    k2s = kappa_2ils_structured(problem, params, sparams)
-    km = kappa_mixed(problem, params)
-    kms = kappa_mixed_structured(problem, params, sparams)
-    kc = kappa_componentwise(problem, params)
-    kcs = kappa_componentwise_structured(problem, params, sparams)
+    report = ConditionReport(problem, params, sparams)
+    k2s, kms, kcs = (report.structured_2, report.structured_mixed,
+                     report.structured_componentwise)
+    km, kc = report.mixed, report.componentwise
     return {
         "kappa2": k2, "kappa2_struct": k2s, "r_N": k2 / k2s,
         "kappa_m": km, "kappa_m_struct": kms, "r_M": km / kms,

@@ -13,16 +13,8 @@ import numpy as np
 from . import bench, probfile
 from .estimate import SsceConfig, estimate_kappa2_pce, estimate_kappa2_ssce, \
     estimate_kappa_inf_ssce
-from .exact import CondParams, kappa_2ils, kappa_componentwise, kappa_mixed
-from .structured import (
-    StructuredParams,
-    basis_from_token,
-    basis_token,
-    kappa_2ils_structured,
-    kappa_componentwise_structured,
-    kappa_mixed_structured,
-    make_basis,
-)
+from .exact import CondParams, ConditionReport, kappa_2ils
+from .structured import StructuredParams, basis_from_token, basis_token, make_basis
 
 
 def _add_common(parser):
@@ -82,20 +74,27 @@ def build_parser():
     return ap
 
 
-def _print_exact(problem, structure):
-    params = CondParams()
-    print(f"problem: m={problem.m} n={problem.n} p={problem.p} q={problem.q}")
-    print(f"kappa_2    = {kappa_2ils(problem, params):.6e}")
-    print(f"kappa_mixed = {kappa_mixed(problem, params):.6e}")
-    print(f"kappa_comp  = {kappa_componentwise(problem, params):.6e}")
+def _report(problem, structure):
+    """Condition report of a loaded problem; A structured as its file says, b full."""
+    sparams = None
     if structure:
         sparams = StructuredParams(
             basis_from_token(structure, problem.m, problem.n),
             make_basis("full", problem.m),
         )
-        print(f"kappa_2^S    = {kappa_2ils_structured(problem, params, sparams):.6e}")
-        print(f"kappa_mixed^S = {kappa_mixed_structured(problem, params, sparams):.6e}")
-        print(f"kappa_comp^S  = {kappa_componentwise_structured(problem, params, sparams):.6e}")
+    return ConditionReport(problem, CondParams(), sparams)
+
+
+def _print_exact(problem, structure):
+    report = _report(problem, structure)
+    print(f"problem: m={problem.m} n={problem.n} p={problem.p} q={problem.q}")
+    print(f"kappa_2    = {kappa_2ils(problem, report.params):.6e}")
+    print(f"kappa_mixed = {report.mixed:.6e}")
+    print(f"kappa_comp  = {report.componentwise:.6e}")
+    if structure:
+        print(f"kappa_2^S    = {report.structured_2:.6e}")
+        print(f"kappa_mixed^S = {report.structured_mixed:.6e}")
+        print(f"kappa_comp^S  = {report.structured_componentwise:.6e}")
 
 
 def _cmd_gen(args):
@@ -172,17 +171,11 @@ def _cmd_compare(args):
         print("problem file carries no structure kind; nothing to compare",
               file=sys.stderr)
         return 1
-    params = CondParams()
-    sparams = StructuredParams(
-        basis_from_token(structure, problem.m, problem.n),
-        make_basis("full", problem.m),
-    )
-    k2 = kappa_2ils(problem, params)
-    k2s = kappa_2ils_structured(problem, params, sparams)
-    km = kappa_mixed(problem, params)
-    kms = kappa_mixed_structured(problem, params, sparams)
-    kc = kappa_componentwise(problem, params)
-    kcs = kappa_componentwise_structured(problem, params, sparams)
+    report = _report(problem, structure)
+    k2 = kappa_2ils(problem, report.params)
+    k2s = report.structured_2
+    km, kms = report.mixed, report.structured_mixed
+    kc, kcs = report.componentwise, report.structured_componentwise
     print(f"structure: {structure}")
     print(f"kappa_2    = {k2:.6e}  structured = {k2s:.6e}  ratio = {k2 / k2s:.4f}")
     print(f"kappa_mixed = {km:.6e}  structured = {kms:.6e}  ratio = {km / kms:.4f}")
@@ -192,17 +185,18 @@ def _cmd_compare(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "gen":
-        return _cmd_gen(args)
-    if args.command == "exact":
-        return _cmd_exact(args)
-    if args.command == "estimate":
-        return _cmd_estimate(args)
-    if args.command in ("table1", "table2", "table3"):
+    commands = {"gen": _cmd_gen, "exact": _cmd_exact, "estimate": _cmd_estimate,
+                "compare": _cmd_compare}
+    try:
+        if args.command in commands:
+            return commands[args.command](args)
         return _cmd_table(args.command, args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    raise AssertionError("unreachable")
+    except ValueError as exc:
+        # failures caused by the input: malformed problem files and data,
+        # NotPositiveDefinite (a LinAlgError), StructureMismatch, TlsNotGeneric
+        # and UndefinedConditionNumber are all ValueErrors
+        print(f"ilscond {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .exact import CondParams, JacobianMg, UndefinedConditionNumber, normwise_map
-from .kron import entrywise_div, unvec
+from .exact import CondParams, componentwise_ratio, mixed_ratio, normwise_map
+from .kron import unvec
 
 
 def wallis(k, approx=False):
@@ -365,7 +365,7 @@ def estimate_kappa_inf_ssce(problem, params=None, config=None):
     m, n = problem.m, problem.n
     t = m * (n + 1)
     L = params.l_matrix(n)
-    jac = JacobianMg.for_ils(problem, L)
+    jac = problem.jacobian(L)
     rng = config.make_rng()
     Z = rng.standard_normal((t, config.k))
     Q, _ = np.linalg.qr(Z)
@@ -377,9 +377,4 @@ def estimate_kappa_inf_ssce(problem, params=None, config=None):
     factor = wallis(config.k, approx=True) / wallis(t, approx=True)
     kappa_vec = factor * np.sqrt(acc)
     ltx = np.atleast_1d(L.T @ problem.solution.x)
-    denom = float(np.max(np.abs(ltx)))
-    if denom == 0.0:
-        raise UndefinedConditionNumber("L^T x vanishes in the infinity norm")
-    mixed = float(np.max(kappa_vec)) / denom
-    comp = float(np.max(np.abs(entrywise_div(kappa_vec, ltx))))
-    return mixed, comp
+    return mixed_ratio(kappa_vec, ltx), componentwise_ratio(kappa_vec, ltx)

@@ -9,6 +9,7 @@ its infinity norms from row sums, so no m*n + m column matrix is formed.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -227,17 +228,6 @@ class JacobianMg:
         return GA, GB
 
 
-def build_mg(problem, params=None, mode="rows"):
-    """First-order map of L^T x for an ILS problem, rows or dense form."""
-    if mode not in ("rows", "dense"):
-        raise ValueError("mode must be 'rows' or 'dense'")
-    L = None if params is None else params.l_matrix(problem.n)
-    jac = JacobianMg.for_ils(problem, L)
-    if mode == "dense":
-        jac.dense()
-    return jac
-
-
 def _induced_norm(mat, mu, nu):
     if (mu, nu) == (2, 2):
         return float(np.linalg.norm(mat, 2))
@@ -255,13 +245,12 @@ def kappa_unified(problem, params, mu=2, nu=2):
     """
     if (mu, nu) not in ((2, 2), (np.inf, np.inf)):
         raise NotImplementedError(f"induced ({mu}, {nu})-norm is not supported")
-    jac = JacobianMg.for_ils(problem, params.l_matrix(problem.n))
+    jac = problem.jacobian(params.l_matrix(problem.n))
     xi = params.xi_vector(jac.k)
     Wa = params.psi_matrix(problem.m, problem.n)
     wb = params.beta_vector(problem.m)
     if mu == np.inf:
-        num = jac.abs_weighted_rowsums(np.abs(Wa), np.abs(wb))
-        return float(np.max(np.abs(entrywise_div(num, np.abs(xi)))))
+        return componentwise_ratio(jac.abs_weighted_rowsums(np.abs(Wa), np.abs(wb)), xi)
     G = jac.weighted_gram(Wa, wb, ddagger(xi))
     return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
 
@@ -322,37 +311,127 @@ def kappa_2ils_cross(problem, params=None):
     return float(np.sqrt(max(np.linalg.norm(G, 2), 0.0))) / xi
 
 
-def mixed_numerator(jac):
-    """The vector |Mg| |vec(A, b)| evaluated through the rows form."""
-    return jac.abs_weighted_rowsums(np.abs(jac.A), np.abs(jac.b))
-
-
-def kappa_mixed_from_jac(jac, ltx):
+def mixed_ratio(num, ltx):
+    """The mixed reduction max(num) / ||L^T x||_inf of a first-order numerator."""
     denom = float(np.max(np.abs(ltx))) if ltx.size else 0.0
     if denom == 0.0:
         raise UndefinedConditionNumber("L^T x vanishes in the infinity norm")
-    return float(np.max(mixed_numerator(jac))) / denom
+    return float(np.max(num)) / denom
 
 
-def kappa_componentwise_from_jac(jac, ltx):
-    num = mixed_numerator(jac)
-    return float(np.max(np.abs(entrywise_div(num, np.abs(ltx)))))
+def componentwise_ratio(num, ref):
+    """The componentwise reduction max_i |num_i / ref_i|, with 0^ddagger = 1."""
+    return float(np.max(np.abs(entrywise_div(num, np.abs(ref)))))
+
+
+class ConditionReport:
+    """Mixed, componentwise and structured condition numbers of one problem.
+
+    Every field is a norm of the same first-order map Mg of L^T x, so the
+    pieces the fields share are computed on first use and kept: the
+    Jacobian (``problem.jacobian(L)``, which IlsProblem and TlsProblem both
+    provide), L^T x, the numerator |Mg| |[vec(A); b]|, the structure
+    parameters (s1, s2) of the data and the structured columns Mg Phi.
+    Reading every field builds each piece once.  The structured fields need
+    ``sparams`` (a StructuredParams); structured_2 needs scalar weights and
+    structured_general explicit varphi and theta.
+    """
+
+    def __init__(self, problem, params=None, sparams=None):
+        self.problem = problem
+        self.params = params or CondParams()
+        self.sparams = sparams
+
+    @cached_property
+    def L(self):
+        return self.params.l_matrix(self.problem.n)
+
+    @cached_property
+    def jac(self):
+        return self.problem.jacobian(self.L)
+
+    @cached_property
+    def ltx(self):
+        return np.atleast_1d(self.L.T @ self.jac.x)
+
+    @cached_property
+    def numerator(self):
+        """|Mg| |[vec(A); b]|, the shared numerator of mixed and componentwise."""
+        return self.jac.abs_weighted_rowsums(np.abs(self.jac.A), np.abs(self.jac.b))
+
+    @cached_property
+    def extracted(self):
+        """Structure parameters (s1, s2) of A and b; StructureMismatch if off-class."""
+        if self.sparams is None:
+            raise ValueError("structured condition numbers need structure parameters")
+        return (self.sparams.basisA.extract(self.problem.A),
+                self.sparams.basisB.extract(self.problem.b))
+
+    @cached_property
+    def structured_cols(self):
+        """Signed blocks (Mg_A Phi_A, Mg_b Phi_B), built after the data is checked."""
+        self.extracted  # the data is checked before the map is built
+        return self.jac.structured_cols(self.sparams.basisA, self.sparams.basisB)
+
+    def structured_numerator(self, phi, theta):
+        GA, GB = self.structured_cols
+        return np.abs(GA) @ np.abs(phi) + np.abs(GB) @ np.abs(theta)
+
+    @cached_property
+    def data_structured_numerator(self):
+        return self.structured_numerator(*self.extracted)
+
+    @cached_property
+    def mixed(self):
+        """Mixed condition number: componentwise data perturbations, sup-norm output."""
+        return mixed_ratio(self.numerator, self.ltx)
+
+    @cached_property
+    def componentwise(self):
+        """Componentwise condition number; zero outputs use the 0^ddagger rule."""
+        return componentwise_ratio(self.numerator, self.ltx)
+
+    @cached_property
+    def structured_2(self):
+        """Spectral norm of [psi Mg_A Phi_A D_A^{-1}, beta Mg_b Phi_B D_B^{-1}] / xi."""
+        psi, beta, xi = self.params.scalars()
+        GA, GB = self.structured_cols
+        G = np.hstack([psi * GA / self.sparams.basisA.d, beta * GB / self.sparams.basisB.d])
+        return float(np.linalg.norm(G, 2)) / xi
+
+    @cached_property
+    def structured_mixed(self):
+        """Structured mixed condition number with the data's own parameters."""
+        return mixed_ratio(self.data_structured_numerator, self.ltx)
+
+    @cached_property
+    def structured_componentwise(self):
+        """Structured componentwise condition number (0^ddagger on zero outputs)."""
+        return componentwise_ratio(self.data_structured_numerator, self.ltx)
+
+    @cached_property
+    def structured_general(self):
+        """Structured infinity-norm value for explicit (varphi, theta) and xi."""
+        self.extracted  # the data is checked first
+        sp = self.sparams
+        if sp.varphi is None or sp.theta is None:
+            raise ValueError("general form needs explicit varphi and theta")
+        phi = np.asarray(sp.varphi, dtype=float).ravel()
+        theta = np.asarray(sp.theta, dtype=float).ravel()
+        if phi.size != sp.basisA.k or theta.size != sp.basisB.k:
+            raise ValueError("varphi/theta lengths do not match the bases")
+        num = self.structured_numerator(phi, theta)
+        return componentwise_ratio(num, self.params.xi_vector(self.jac.k))
 
 
 def kappa_mixed(problem, params=None):
     """Mixed condition number: componentwise data perturbations, sup-norm output."""
-    L = None if params is None else params.l_matrix(problem.n)
-    jac = JacobianMg.for_ils(problem, L)
-    ltx = L.T @ problem.solution.x if L is not None else problem.solution.x
-    return kappa_mixed_from_jac(jac, np.atleast_1d(ltx))
+    return ConditionReport(problem, params).mixed
 
 
 def kappa_componentwise(problem, params=None):
     """Componentwise condition number; zero output components use the 0^ddagger rule."""
-    L = None if params is None else params.l_matrix(problem.n)
-    jac = JacobianMg.for_ils(problem, L)
-    ltx = L.T @ problem.solution.x if L is not None else problem.solution.x
-    return kappa_componentwise_from_jac(jac, np.atleast_1d(ltx))
+    return ConditionReport(problem, params).componentwise
 
 
 def kappa_lls_svd_check(A, b, params=None):

@@ -1,12 +1,10 @@
-"""Column-major vec / Kronecker utilities shared by every condition formula.
+"""Column-major vec and the 0^ddagger division rule shared by every formula.
 
 All vectorization in this package is column-major: for an m x n matrix A,
-vec(A)[j*m + i] = A[i, j] (0-based).  Vec-permutations are applied as index
-maps and Kronecker products act through their factors; neither the
-permutation matrix nor the Kronecker product is ever materialized here.
+vec(A)[j*m + i] = A[i, j] (0-based).  The first-order map acts on vec(dA)
+through its row-structured generators, so no vec-permutation or Kronecker
+product is needed; the tests build those only for their dense oracles.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,53 +42,3 @@ def unvec(v, shape):
     if v.size != m * n:
         raise ValueError(f"cannot reshape length {v.size} into {m}x{n}")
     return v.reshape((m, n), order="F")
-
-
-@dataclass(frozen=True)
-class VecPermutation:
-    """Index-map form of the vec-permutation matrix for m x n matrices.
-
-    Applying it sends vec(A) to vec(A^T); applying the swapped-dimension
-    permutation afterwards restores the input.
-    """
-
-    rows: int
-    cols: int
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("dimensions must be positive")
-
-    @property
-    def size(self):
-        return self.rows * self.cols
-
-    def apply(self, v):
-        A = unvec(v, (self.rows, self.cols))
-        return vec(A.T)
-
-    def swapped(self):
-        return VecPermutation(self.cols, self.rows)
-
-
-def vec_perm_apply(perm, v):
-    """Apply the vec-permutation: returns vec(A^T) when v = vec(A)."""
-    return perm.apply(v)
-
-
-def kron_apply(K1, K2, z):
-    """Apply (K1 kron K2) to z without forming the Kronecker product.
-
-    Uses the identity (K1 kron K2) vec(Z) = vec(K2 Z K1^T), where Z is the
-    unvec of z with K2.shape[1] rows and K1.shape[1] columns.
-    """
-    K1 = np.atleast_2d(np.asarray(K1, dtype=float))
-    K2 = np.atleast_2d(np.asarray(K2, dtype=float))
-    z = np.asarray(z, dtype=float)
-    if z.size != K1.shape[1] * K2.shape[1]:
-        raise ValueError(
-            f"operand length {z.size} does not conform to "
-            f"({K1.shape[0]}x{K1.shape[1]}) kron ({K2.shape[0]}x{K2.shape[1]})"
-        )
-    Z = unvec(z, (K2.shape[1], K1.shape[1]))
-    return vec(K2 @ Z @ K1.T)

@@ -36,6 +36,9 @@ def load_problem(path):
         m, n, p, q = (int(t) for t in tokens[1:5])
     except (ValueError, IndexError) as exc:
         raise ValueError(f"{path}: malformed header") from exc
+    for name, val, least in (("m", m, 1), ("n", n, 1), ("p", p, 1), ("q", q, 0)):
+        if val < least:
+            raise ValueError(f"{path}: header {name}={val} must be at least {least}")
     rest = tokens[5:]
     structure = None
     if rest and not _is_number(rest[0]):

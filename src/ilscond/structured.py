@@ -5,14 +5,19 @@ of a matrix class (Toeplitz, Hankel, symmetric, stacked scaled copies) to its
 vectorization.  For every supported kind the columns of Phi have disjoint
 supports, hence Phi^T Phi = diag(d^2) with d the column norms.  Phi is kept
 as per-parameter index/value lists; dense copies exist only for diagnostics.
+
+The structured condition numbers are fields of exact.ConditionReport, which
+extracts the data parameters and builds the structured columns Mg Phi once
+for all flavours; the kappa_*_structured functions here each read one field
+of a fresh report.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import CondParams, JacobianMg, UndefinedConditionNumber
-from .kron import entrywise_div, vec
+from .exact import ConditionReport
+from .kron import vec
 
 MATRIX_KINDS = ("toeplitz", "hankel", "symmetric", "stacked_scaled", "full")
 VECTOR_KINDS = ("full",)
@@ -219,73 +224,21 @@ class StructuredParams:
     theta: np.ndarray | None = None
 
 
-def extract(basis, data, tol=1e-12):
-    """Module-level alias for StructureBasis.extract."""
-    return basis.extract(data, tol=tol)
-
-
-def _checked_params(sparams, A, b):
-    s1 = sparams.basisA.extract(A)
-    s2 = sparams.basisB.extract(b)
-    return s1, s2
-
-
-def structured_norm2_from_jac(jac, sparams, psi, beta, xi):
-    """Spectral norm of [psi * Mg_A Phi_A D_A^{-1}, beta * Mg_b Phi_B D_B^{-1}] / xi."""
-    GA, GB = jac.structured_cols(sparams.basisA, sparams.basisB)
-    G = np.hstack([psi * GA / sparams.basisA.d, beta * GB / sparams.basisB.d])
-    return float(np.linalg.norm(G, 2)) / xi
-
-
-def structured_inf_numerator(jac, sparams, phi, theta):
-    GA, GB = jac.structured_cols(sparams.basisA, sparams.basisB)
-    return np.abs(GA) @ np.abs(phi) + np.abs(GB) @ np.abs(theta)
-
-
 def kappa_2ils_structured(problem, params, sparams):
     """Structured partial 2-norm condition number (scalar weights)."""
-    psi, beta, xi = params.scalars()
-    _checked_params(sparams, problem.A, problem.b)
-    jac = JacobianMg.for_ils(problem, params.l_matrix(problem.n))
-    return structured_norm2_from_jac(jac, sparams, psi, beta, xi)
+    return ConditionReport(problem, params, sparams).structured_2
 
 
 def kappa_mixed_structured(problem, params, sparams):
     """Structured mixed condition number with the data's own parameters."""
-    params = params or CondParams()
-    s1, s2 = _checked_params(sparams, problem.A, problem.b)
-    L = params.l_matrix(problem.n)
-    jac = JacobianMg.for_ils(problem, L)
-    num = structured_inf_numerator(jac, sparams, s1, s2)
-    denom = float(np.max(np.abs(L.T @ problem.solution.x)))
-    if denom == 0.0:
-        raise UndefinedConditionNumber("L^T x vanishes in the infinity norm")
-    return float(np.max(num)) / denom
+    return ConditionReport(problem, params, sparams).structured_mixed
 
 
 def kappa_componentwise_structured(problem, params, sparams):
     """Structured componentwise condition number (0^ddagger on zero outputs)."""
-    params = params or CondParams()
-    s1, s2 = _checked_params(sparams, problem.A, problem.b)
-    L = params.l_matrix(problem.n)
-    jac = JacobianMg.for_ils(problem, L)
-    num = structured_inf_numerator(jac, sparams, s1, s2)
-    ltx = L.T @ problem.solution.x
-    return float(np.max(np.abs(entrywise_div(num, np.abs(ltx)))))
+    return ConditionReport(problem, params, sparams).structured_componentwise
 
 
 def kappa_inf_structured_general(problem, params, sparams):
     """Structured infinity-norm condition number for general (varphi, theta, xi)."""
-    params = params or CondParams()
-    _checked_params(sparams, problem.A, problem.b)
-    if sparams.varphi is None or sparams.theta is None:
-        raise ValueError("general form needs explicit varphi and theta")
-    phi = np.asarray(sparams.varphi, dtype=float).ravel()
-    theta = np.asarray(sparams.theta, dtype=float).ravel()
-    if phi.size != sparams.basisA.k or theta.size != sparams.basisB.k:
-        raise ValueError("varphi/theta lengths do not match the bases")
-    L = params.l_matrix(problem.n)
-    jac = JacobianMg.for_ils(problem, L)
-    num = structured_inf_numerator(jac, sparams, phi, theta)
-    xi = params.xi_vector(jac.k)
-    return float(np.max(np.abs(entrywise_div(num, np.abs(xi)))))
+    return ConditionReport(problem, params, sparams).structured_general

@@ -4,7 +4,8 @@ A TLS instance min ||[E, e]||_F s.t. (A+E)x = b+e is the indefinite problem
 on [A; sigma I_n] with signature diag(I_m, -I_n), where sigma is the
 smallest singular value of [A, b].  This module solves generic TLS
 instances, evaluates their partial condition numbers (unified, 2-norm,
-mixed, componentwise, structured), and provides the general composed
+mixed, componentwise; the structured ones are fields of
+exact.ConditionReport on a TlsProblem), and provides the general composed
 first-order machinery for stacked problems whose lower blocks depend on
 the data.
 """
@@ -12,19 +13,10 @@ the data.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .exact import (
-    CondParams,
-    JacobianMg,
-    UndefinedConditionNumber,
-    _induced_norm,
-    kappa_componentwise_from_jac,
-    kappa_mixed_from_jac,
-)
-from .ils import NotPositiveDefinite
-from .kron import ddagger, entrywise_div, vec
-from .structured import structured_inf_numerator, structured_norm2_from_jac
+from .exact import CondParams, ConditionReport, JacobianMg, _induced_norm
+from .ils import NotPositiveDefinite, SpdFactor, checked_data
+from .kron import ddagger, vec
 
 
 class TlsNotGeneric(ValueError):
@@ -38,11 +30,12 @@ class TlsProblem:
     [A, b], requires it to sit below sigma_n(A) with relative gap at least
     gap_tol, and factors Mt = A^T A - sigma_tilde^2 I (positive definite on
     the generic set).  The solution is x = Mt^{-1} A^T b and r = b - A x.
+    Complex or non-finite data raises ValueError naming the argument.
     """
 
     def __init__(self, A, b, gap_tol=1e-10):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float).ravel()
+        A = checked_data("A", A, matrix=True)
+        b = checked_data("b", b, matrix=False)
         m, n = A.shape
         if b.size != m:
             raise ValueError(f"b has length {b.size}, expected {m}")
@@ -58,11 +51,10 @@ class TlsProblem:
                 f"singular value gap too small: sigma_n = {self.sigma_n:.6e}, "
                 f"sigma_tilde = {self.sigma_tilde:.6e}"
             )
-        Mt = A.T @ A - self.sigma_tilde**2 * np.eye(n)
-        Mt = 0.5 * (Mt + Mt.T)
         try:
-            self.chol = np.linalg.cholesky(Mt)
-        except np.linalg.LinAlgError as exc:
+            self.factor = SpdFactor(A.T @ A - self.sigma_tilde**2 * np.eye(n),
+                                    "A^T A - sigma_tilde^2 I")
+        except NotPositiveDefinite as exc:
             raise TlsNotGeneric(
                 "A^T A - sigma_tilde^2 I lost definiteness numerically"
             ) from exc
@@ -70,19 +62,17 @@ class TlsProblem:
         self.b = b
         self.m = m
         self.n = n
-        self.Mt = Mt
+        self.Mt = self.factor.M
         self.x = self.apply_minv(A.T @ b)
         self.r = b - A @ self.x
 
     def apply_minv(self, V):
-        V = np.asarray(V, dtype=float)
-        single = V.ndim == 1
-        if single:
-            V = V[:, None]
-        if V.shape[1] == 0:
-            return V.copy()
-        out = scipy.linalg.cho_solve((self.chol, True), V)
-        return out[:, 0] if single else out
+        """Compute Mt^{-1} V with the certified factor."""
+        return self.factor.solve(V)
+
+    def jacobian(self, L=None):
+        """First-order map of L^T x (L = I when omitted); see tls_jacobian."""
+        return tls_jacobian(self, L)
 
 
 def solve_tls(A, b, gap_tol=1e-10):
@@ -119,44 +109,12 @@ def kappa_2tls(tls, params=None):
 
 def kappa_mixed_tls(tls, params=None):
     """Mixed TLS condition number through the row-structured products."""
-    params = params or CondParams()
-    L = params.l_matrix(tls.n)
-    jac = tls_jacobian(tls, L)
-    return kappa_mixed_from_jac(jac, np.atleast_1d(L.T @ tls.x))
+    return ConditionReport(tls, params).mixed
 
 
 def kappa_componentwise_tls(tls, params=None):
     """Componentwise TLS condition number (0^ddagger on zero outputs)."""
-    params = params or CondParams()
-    L = params.l_matrix(tls.n)
-    jac = tls_jacobian(tls, L)
-    return kappa_componentwise_from_jac(jac, np.atleast_1d(L.T @ tls.x))
-
-
-def kappa_structured_tls(tls, params, sparams, which="two"):
-    """Structured TLS condition number of the requested flavor.
-
-    which is 'two', 'mixed' or 'comp'.  A must belong to the A-basis and b
-    to the b-basis (use a full basis to leave b unstructured).
-    """
-    params = params or CondParams()
-    s1 = sparams.basisA.extract(tls.A)
-    s2 = sparams.basisB.extract(tls.b)
-    L = params.l_matrix(tls.n)
-    jac = tls_jacobian(tls, L)
-    if which == "two":
-        psi, beta, xi = params.scalars()
-        return structured_norm2_from_jac(jac, sparams, psi, beta, xi)
-    num = structured_inf_numerator(jac, sparams, s1, s2)
-    ltx = np.atleast_1d(L.T @ tls.x)
-    if which == "mixed":
-        denom = float(np.max(np.abs(ltx)))
-        if denom == 0.0:
-            raise UndefinedConditionNumber("L^T x vanishes in the infinity norm")
-        return float(np.max(num)) / denom
-    if which == "comp":
-        return float(np.max(np.abs(entrywise_div(num, np.abs(ltx)))))
-    raise ValueError("which must be 'two', 'mixed' or 'comp'")
+    return ConditionReport(tls, params).componentwise
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,49 +154,34 @@ class StackedProblem:
     """
 
     def __init__(self, A, B, b, d):
-        A = np.asarray(A, dtype=float)
-        B = np.asarray(B, dtype=float)
-        b = np.asarray(b, dtype=float).ravel()
-        d = np.asarray(d, dtype=float).ravel()
-        if B.ndim != 2 or B.shape[1] != A.shape[1]:
+        A = checked_data("A", A, matrix=True)
+        B = checked_data("B", B, matrix=True)
+        b = checked_data("b", b, matrix=False)
+        d = checked_data("d", d, matrix=False)
+        if B.shape[1] != A.shape[1]:
             raise ValueError("B must have the same column count as A")
         if b.size != A.shape[0] or d.size != B.shape[0]:
             raise ValueError("right-hand side lengths do not match")
-        Mt = A.T @ A - B.T @ B
-        Mt = 0.5 * (Mt + Mt.T)
-        try:
-            self.chol = np.linalg.cholesky(Mt)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(
-                "A^T A - B^T B is not positive definite"
-            ) from exc
+        self.factor = SpdFactor(A.T @ A - B.T @ B, "A^T A - B^T B")
         self.A, self.B, self.b, self.d = A, B, b, d
         self.m, self.n = A.shape
         self.s = B.shape[0]
-        self.Mt = Mt
-        self.x = scipy.linalg.cho_solve((self.chol, True), A.T @ b - B.T @ d)
+        self.x = self.apply_minv(A.T @ b - B.T @ d)
         self.r = b - A @ self.x
         self.sres = d - B @ self.x
 
     def apply_minv(self, V):
-        V = np.asarray(V, dtype=float)
-        single = V.ndim == 1
-        if single:
-            V = V[:, None]
-        out = scipy.linalg.cho_solve((self.chol, True), V)
-        return out[:, 0] if single else out
+        """Compute Mt^{-1} V with the certified factor."""
+        return self.factor.solve(V)
 
 
-def tls_blocks(stacked_or_tls, tiny=1e-13):
-    """Composed blocks of the TLS stacking B = sigma I_n, d = 0.
+def tls_blocks(t, tiny=1e-13):
+    """Composed blocks of the TLS stacking B = sigma I_n, d = 0 of a TlsProblem.
 
     The leading constant is 1/sigma, so consistent systems (sigma below
     tiny relative to ||[A, b]||) are excluded rather than extrapolated.
     """
-    t = stacked_or_tls
-    sigma = t.sigma_tilde if hasattr(t, "sigma_tilde") else None
-    if sigma is None:
-        raise ValueError("tls_blocks needs a TlsProblem")
+    sigma = t.sigma_tilde
     scale = np.linalg.norm(np.column_stack([t.A, t.b]), 2)
     if sigma <= tiny * scale:
         raise TlsNotGeneric(

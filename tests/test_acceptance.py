@@ -11,6 +11,7 @@ import pytest
 
 from ilscond import (
     CondParams,
+    ConditionReport,
     IlsProblem,
     StructuredParams,
     TlsNotGeneric,
@@ -23,7 +24,6 @@ from ilscond import (
     kappa_composed_ils,
     kappa_mixed,
     kappa_mixed_tls,
-    kappa_structured_tls,
     kappa_unified,
     make_basis,
     solve_tls,
@@ -32,7 +32,7 @@ from ilscond import (
 )
 from ilscond.bench import run_experiment, table1_config, table2_config, table3_config
 from ilscond.cli import main as cli_main
-from ilscond.exact import build_mg
+from ilscond.exact import JacobianMg
 from ilscond.kron import entrywise_div, vec
 from ilscond.tls import StackedProblem
 
@@ -65,7 +65,7 @@ def test_criterion_1_formula_equivalence():
         k_cross = kappa_2ils_cross(prob, params)
         k_uni = kappa_unified(prob, params, 2, 2)
         worst_two = max(worst_two, _rel(k_fact, k_cross), _rel(k_fact, k_uni))
-        jac = build_mg(prob, params)
+        jac = JacobianMg.for_ils(prob)
         num_rows = jac.abs_weighted_rowsums(np.abs(prob.A), np.abs(prob.b))
         num_dense = np.abs(jac.dense()) @ np.abs(
             np.concatenate([vec(prob.A), prob.b])
@@ -111,7 +111,7 @@ def test_criterion_2_frechet_derivative():
 
 def _perturb_two_norm(prob, kappa, rng, samples):
     h = 1e-7
-    dense = build_mg(prob, CondParams()).dense()
+    dense = JacobianMg.for_ils(prob).dense()
     _, _, vt = np.linalg.svd(dense, full_matrices=False)
     dirs = [vt[0]] + [rng.standard_normal(dense.shape[1]) for _ in range(samples - 1)]
     for z in dirs:
@@ -252,11 +252,11 @@ def test_criterion_7_tls_suite():
             continue
         structured_checked += 1
         sparams = StructuredParams(basis, make_basis("full", m))
-        params = CondParams()
+        report = ConditionReport(tls, CondParams(), sparams)
         tol = 1 + 1e-12
-        ok = ok and kappa_structured_tls(tls, params, sparams, "two") <= kappa_2tls(tls) * tol
-        ok = ok and kappa_structured_tls(tls, params, sparams, "mixed") <= kappa_mixed_tls(tls) * tol
-        ok = ok and kappa_structured_tls(tls, params, sparams, "comp") <= kappa_componentwise_tls(tls) * tol
+        ok = ok and report.structured_2 <= kappa_2tls(tls) * tol
+        ok = ok and report.structured_mixed <= kappa_mixed_tls(tls) * tol
+        ok = ok and report.structured_componentwise <= kappa_componentwise_tls(tls) * tol
     _report(7, "TLS: solution matches the SVD oracle, both condition paths agree, "
                "structured never exceeds unstructured", ok)
 

@@ -92,6 +92,12 @@ class TestProblemFile:
         with pytest.raises(ValueError):
             load_problem(path)
 
+    def test_nonpositive_dimension_named(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("ILS 3 0 2 1\n")
+        with pytest.raises(ValueError, match="n=0 must be at least 1"):
+            load_problem(path)
+
     def test_wrong_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("ILS 2 1 2 0\n1.0 2.0\n")
@@ -215,3 +221,53 @@ class TestCli:
         pfile = str(tmp_path / "u.txt")
         save_problem(pfile, prob)
         assert cli_main(["compare", pfile]) == 1
+
+
+class TestCliErrors:
+    """Input errors end as one stderr line and exit code 1, not a traceback."""
+
+    def _write(self, tmp_path, text):
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        return str(path)
+
+    def _one_line_error(self, capsys, argv, needle):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert needle in err and "Traceback" not in err
+
+    def test_nonpositive_header_dimension(self, tmp_path, capsys):
+        pfile = self._write(tmp_path, "ILS -1 2 1 1\n")
+        self._one_line_error(capsys, ["exact", pfile], "m=-1")
+
+    def test_not_positive_definite(self, tmp_path, capsys):
+        # A^T J A = [[0, -1], [-1, 0]] is indefinite
+        pfile = self._write(tmp_path, "ILS 3 2 2 1\n1 0\n0 1\n1 1\n1 2 3\n")
+        self._one_line_error(capsys, ["exact", pfile], "not positive definite")
+
+    def test_structure_mismatch(self, tmp_path, capsys, rng):
+        prob, _, _ = gen_example1(10, 4, 6, 1, 1.0, rng)
+        pfile = str(tmp_path / "t.txt")
+        save_problem(pfile, prob, structure="toeplitz")
+        self._one_line_error(capsys, ["compare", pfile], "toeplitz-structured")
+
+    def test_undefined_condition_number(self, tmp_path, capsys):
+        # b = 0 gives x = 0, so the mixed condition number is undefined
+        pfile = self._write(tmp_path, "ILS 3 2 3 0\n1 0\n0 1\n1 1\n0 0 0\n")
+        assert cli_main(["exact", pfile]) == 1
+        captured = capsys.readouterr()
+        assert "kappa_2" in captured.out
+        assert captured.err.splitlines() == [
+            "ilscond exact: error: L^T x vanishes in the infinity norm"
+        ]
+
+    def test_tls_not_generic(self, monkeypatch, capsys):
+        import ilscond.cli
+        from ilscond import TlsNotGeneric
+
+        def raise_not_generic(args):
+            raise TlsNotGeneric("singular value gap too small")
+
+        monkeypatch.setattr(ilscond.cli, "_cmd_exact", raise_not_generic)
+        self._one_line_error(capsys, ["exact", "unused.txt"], "gap too small")

@@ -7,7 +7,6 @@ from ilscond import (
     IlsProblem,
     SignatureSplit,
     UndefinedConditionNumber,
-    build_mg,
     kappa_2ils,
     kappa_2ils_cross,
     kappa_componentwise,
@@ -37,7 +36,7 @@ class TestBuildMg:
     def test_action_matches_directional_derivative(self, rng):
         prob = random_ils(rng, m=12, n=5)
         L = rng.standard_normal((prob.n, 3))
-        jac = build_mg(prob, CondParams(L=L))
+        jac = JacobianMg.for_ils(prob, L)
         for _ in range(10):
             dA = rng.standard_normal(prob.A.shape)
             db = rng.standard_normal(prob.m)
@@ -50,7 +49,7 @@ class TestBuildMg:
     def test_rows_equal_dense_assembly(self, rng):
         prob = random_ils(rng, m=6, n=3)
         L = rng.standard_normal((prob.n, 3))
-        jac = build_mg(prob, CondParams(L=L), mode="dense")
+        jac = JacobianMg.for_ils(prob, L)
         dense = jac.dense()
         for i in range(jac.k):
             Ra, rb = jac.row(i)
@@ -61,7 +60,7 @@ class TestBuildMg:
         for _ in range(5):
             prob = random_ils(rng, m=6, n=3)
             L = rng.standard_normal((prob.n, 3))
-            dense = build_mg(prob, CondParams(L=L)).dense()
+            dense = JacobianMg.for_ils(prob, L).dense()
             oracle = dense_mg_oracle(prob, L)
             np.testing.assert_allclose(dense, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
 
@@ -70,7 +69,7 @@ class TestBuildMg:
         n = 4
         b = np.arange(1.0, n + 1)
         prob = IlsProblem(np.eye(n), b, SignatureSplit(n, 0))
-        jac = build_mg(prob, CondParams())
+        jac = JacobianMg.for_ils(prob)
         x = prob.solution.x
         for i in range(n):
             Ra, rb = jac.row(i)
@@ -79,7 +78,7 @@ class TestBuildMg:
 
     def test_transpose_action_consistent(self, rng):
         prob = random_ils(rng, m=9, n=4)
-        jac = build_mg(prob, CondParams())
+        jac = JacobianMg.for_ils(prob)
         dense = jac.dense()
         y = rng.standard_normal(jac.k)
         np.testing.assert_allclose(jac.rmatvec(y), dense.T @ y, rtol=1e-13)
@@ -90,7 +89,7 @@ class TestBuildMg:
         prob = random_ils(rng, m=10, n=4)
         monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
         with pytest.raises(MemoryError):
-            build_mg(prob, CondParams(), mode="dense")
+            JacobianMg.for_ils(prob).dense()
 
 
 class TestKappaUnified:
@@ -141,7 +140,7 @@ class TestKappaUnified:
         psi = np.ones(prob.A.shape)
         psi[0, 0] = 0.0
         params = CondParams(psi=psi, beta=np.ones(prob.m))
-        dense = build_mg(prob, CondParams()).dense()
+        dense = JacobianMg.for_ils(prob).dense()
         w = np.concatenate([vec(psi), np.ones(prob.m)])
         expected = np.linalg.norm(dense * w[None, :], 2)
         assert rel_err(kappa_unified(prob, params, 2, 2), expected) <= 1e-12
@@ -150,7 +149,7 @@ class TestKappaUnified:
 class TestWeightedGram:
     def test_gram_equals_product_of_dense_map(self, rng):
         prob = random_ils(rng, m=9, n=4)
-        jac = build_mg(prob, CondParams(L=rng.standard_normal((prob.n, 3))))
+        jac = JacobianMg.for_ils(prob, rng.standard_normal((prob.n, 3)))
         Wa = rng.standard_normal(prob.A.shape)
         wb = rng.standard_normal(prob.m)
         s = rng.standard_normal(jac.k)
@@ -379,7 +378,7 @@ class TestPerturbationConsistency:
         params = CondParams()
         kappa = kappa_2ils(prob, params)
         h = 1e-7
-        dense = build_mg(prob, params).dense()
+        dense = JacobianMg.for_ils(prob).dense()
         _, _, vt = np.linalg.svd(dense, full_matrices=False)
         best = 0.0
         directions = [vt[0]] + [

@@ -29,12 +29,17 @@ class TestSignatureSplit:
         with pytest.raises(ValueError):
             SignatureSplit(0, 3)
 
+    def test_float_counts_rejected(self):
+        with pytest.raises(TypeError, match="p must be an integer"):
+            SignatureSplit(6.0, 2.0)
+
 
 class TestCheckSpd:
     def test_gram_case(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((10, 4))
-        M, chol = check_spd(A, SignatureSplit(10, 0))
+        factor = check_spd(A, SignatureSplit(10, 0))
+        M, chol = factor.M, factor.chol
         np.testing.assert_allclose(M, A.T @ A, rtol=1e-14)
         np.testing.assert_allclose(chol @ chol.T, M, rtol=0, atol=1e-12)
 
@@ -54,7 +59,7 @@ class TestCheckSpd:
             np.outer(A[0], A[0]) + np.outer(A[1], A[1]) - np.outer(A[2], A[2])
         )
         np.testing.assert_array_equal(expected, [[3.0, -1.0], [-1.0, 3.0]])
-        M, _ = check_spd(A, SignatureSplit(2, 1))
+        M = check_spd(A, SignatureSplit(2, 1)).M
         np.testing.assert_array_equal(M, expected)
         np.testing.assert_allclose(np.linalg.eigvalsh(M), [2.0, 4.0], rtol=1e-14)
 
@@ -113,6 +118,30 @@ class TestSolve:
         with pytest.warns(UserWarning, match="m > n"):
             with pytest.raises(NotPositiveDefinite):
                 IlsProblem(np.eye(2), [1.0, 1.0], SignatureSplit(1, 1))
+
+
+class TestBoundaryValidation:
+    """Bad data fails in the constructor with a message naming the argument."""
+
+    def _data(self, rng):
+        return rng.standard_normal((8, 3)), rng.standard_normal(8)
+
+    def test_complex_a_rejected(self, rng):
+        A, b = self._data(rng)
+        with pytest.raises(ValueError, match="A must be real"):
+            IlsProblem(A + 1e-3j, b, SignatureSplit(6, 2))
+
+    def test_nan_in_a_rejected(self, rng):
+        A, b = self._data(rng)
+        A[2, 1] = np.nan
+        with pytest.raises(ValueError, match="A has non-finite entries"):
+            IlsProblem(A, b, SignatureSplit(6, 2))
+
+    def test_inf_in_b_rejected(self, rng):
+        A, b = self._data(rng)
+        b[0] = np.inf
+        with pytest.raises(ValueError, match="b has non-finite entries"):
+            IlsProblem(A, b, SignatureSplit(6, 2))
 
 
 class TestApplyMinv:

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from ilscond.kron import (
-    VecPermutation,
-    entrywise_div,
-    kron_apply,
-    unvec,
-    vec,
-    vec_perm_apply,
-)
-
-from conftest import dense_vec_perm
+from ilscond.kron import entrywise_div, unvec, vec
 
 
 class TestEntrywiseDiv:
@@ -62,68 +53,3 @@ class TestVec:
     def test_unvec_bad_length(self):
         with pytest.raises(ValueError):
             unvec(np.ones(5), (2, 3))
-
-
-class TestVecPermutation:
-    def test_2x2_transpose(self):
-        p = VecPermutation(2, 2)
-        np.testing.assert_array_equal(p.apply([1, 2, 3, 4]), [1, 3, 2, 4])
-
-    def test_single_row_is_identity(self):
-        p = VecPermutation(1, 5)
-        v = np.arange(5.0)
-        np.testing.assert_array_equal(vec_perm_apply(p, v), v)
-
-    def test_matches_dense_permutation(self):
-        rng = np.random.default_rng(2)
-        v = rng.standard_normal(6)
-        P = dense_vec_perm(3, 2)
-        np.testing.assert_array_equal(vec_perm_apply(VecPermutation(3, 2), v), P @ v)
-
-    @pytest.mark.parametrize("m,n", [(2, 3), (4, 4), (1, 6), (5, 2)])
-    def test_double_application_identity(self, m, n):
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(m * n)
-        p = VecPermutation(m, n)
-        np.testing.assert_array_equal(p.swapped().apply(p.apply(v)), v)
-
-    def test_transposes_exactly(self):
-        # a permutation moves entries without arithmetic
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((5, 3))
-        out = vec_perm_apply(VecPermutation(5, 3), vec(A))
-        assert (out == vec(A.T)).all()
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            VecPermutation(2, 3).apply(np.ones(5))
-
-
-class TestKronApply:
-    def test_identity_factors(self):
-        rng = np.random.default_rng(5)
-        z = rng.standard_normal(6)
-        np.testing.assert_array_equal(kron_apply(np.eye(3), np.eye(2), z), z)
-
-    def test_matches_dense_kronecker(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            a, b, c, d = rng.integers(1, 7, size=4)
-            K1 = rng.standard_normal((a, b))
-            K2 = rng.standard_normal((c, d))
-            z = rng.standard_normal(b * d)
-            expected = np.kron(K1, K2) @ z
-            got = kron_apply(K1, K2, z)
-            np.testing.assert_allclose(got, expected, rtol=1e-12)
-
-    def test_row_kron_column_is_outer_product(self):
-        # a row factor with a column factor collapses to the plain product
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((1, 4))
-        b = rng.standard_normal((3, 1))
-        z = rng.standard_normal(4)
-        np.testing.assert_allclose(kron_apply(a, b, z), (b @ a) @ z, rtol=1e-13)
-
-    def test_nonconformable(self):
-        with pytest.raises(ValueError):
-            kron_apply(np.eye(2), np.eye(2), np.ones(5))

@@ -4,6 +4,7 @@ import pytest
 import ilscond.exact
 from ilscond import (
     CondParams,
+    ConditionReport,
     IlsProblem,
     SignatureSplit,
     StructuredParams,
@@ -12,7 +13,6 @@ from ilscond import (
     kappa_componentwise_tls,
     kappa_composed_ils,
     kappa_mixed_tls,
-    kappa_structured_tls,
     kappa_unified,
     make_basis,
     solve_tls,
@@ -80,6 +80,31 @@ class TestSolveTls:
     def test_wide_rejected(self):
         with pytest.raises(ValueError):
             solve_tls(np.eye(3), np.ones(3))
+
+
+class TestBoundaryValidation:
+    """TlsProblem and StackedProblem reject bad data by argument name."""
+
+    def test_nan_in_a_rejected(self, rng):
+        A, b = random_tls(rng)
+        A[1, 2] = np.nan
+        with pytest.raises(ValueError, match="A has non-finite entries"):
+            solve_tls(A, b)
+
+    def test_complex_b_rejected(self, rng):
+        A, b = random_tls(rng)
+        with pytest.raises(ValueError, match="b must be real"):
+            solve_tls(A, b.astype(complex))
+
+    def test_stacked_complex_lower_block_rejected(self, rng):
+        A, b = random_tls(rng, m=9, n=3)
+        with pytest.raises(ValueError, match="B must be real"):
+            StackedProblem(A, 0.1j * np.eye(3), b, np.zeros(3))
+
+    def test_stacked_inf_in_d_rejected(self, rng):
+        A, b = random_tls(rng, m=9, n=3)
+        with pytest.raises(ValueError, match="d has non-finite entries"):
+            StackedProblem(A, 0.1 * np.eye(3), b, np.array([0.0, np.inf, 0.0]))
 
 
 class TestKappa2Tls:
@@ -294,31 +319,22 @@ class TestStructuredTls:
         A, b = random_tls(rng, m=8, n=3)
         tls = solve_tls(A, b)
         sparams = StructuredParams(make_basis("full", 8, 3), make_basis("full", 8))
-        params = CondParams()
+        report = ConditionReport(tls, CondParams(), sparams)
+        assert rel_err(report.structured_2, kappa_2tls(tls)) <= 1e-12
+        assert rel_err(report.structured_mixed, kappa_mixed_tls(tls)) <= 1e-12
         assert rel_err(
-            kappa_structured_tls(tls, params, sparams, "two"), kappa_2tls(tls)
-        ) <= 1e-12
-        assert rel_err(
-            kappa_structured_tls(tls, params, sparams, "mixed"), kappa_mixed_tls(tls)
-        ) <= 1e-12
-        assert rel_err(
-            kappa_structured_tls(tls, params, sparams, "comp"),
-            kappa_componentwise_tls(tls),
+            report.structured_componentwise, kappa_componentwise_tls(tls)
         ) <= 1e-12
 
     def test_structured_never_exceeds_unstructured(self, rng):
-        params = CondParams()
         for _ in range(5):
             tls, sparams = self._toeplitz_tls(rng)
-            assert kappa_structured_tls(tls, params, sparams, "two") <= kappa_2tls(
+            report = ConditionReport(tls, CondParams(), sparams)
+            assert report.structured_2 <= kappa_2tls(tls) * (1 + 1e-12)
+            assert report.structured_mixed <= kappa_mixed_tls(tls) * (1 + 1e-12)
+            assert report.structured_componentwise <= kappa_componentwise_tls(
                 tls
             ) * (1 + 1e-12)
-            assert kappa_structured_tls(
-                tls, params, sparams, "mixed"
-            ) <= kappa_mixed_tls(tls) * (1 + 1e-12)
-            assert kappa_structured_tls(
-                tls, params, sparams, "comp"
-            ) <= kappa_componentwise_tls(tls) * (1 + 1e-12)
 
     def test_matches_dense_oracle(self, rng):
         tls, sparams = self._toeplitz_tls(rng, m=8, n=4)
@@ -330,12 +346,9 @@ class TestStructuredTls:
         exp_two = np.linalg.norm(
             np.hstack([GA / sparams.basisA.d, GB / sparams.basisB.d]), 2
         )
-        assert rel_err(
-            kappa_structured_tls(tls, params, sparams, "two"), exp_two
-        ) <= 1e-10
+        report = ConditionReport(tls, params, sparams)
+        assert rel_err(report.structured_2, exp_two) <= 1e-10
         s1 = sparams.basisA.extract(tls.A)
         num = np.abs(GA) @ np.abs(s1) + np.abs(GB) @ np.abs(tls.b)
         exp_m = num.max() / np.abs(tls.x).max()
-        assert rel_err(
-            kappa_structured_tls(tls, params, sparams, "mixed"), exp_m
-        ) <= 1e-10
+        assert rel_err(report.structured_mixed, exp_m) <= 1e-10

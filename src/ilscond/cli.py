@@ -191,10 +191,11 @@ def main(argv=None):
         if args.command in commands:
             return commands[args.command](args)
         return _cmd_table(args.command, args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         # failures caused by the input: malformed problem files and data,
         # NotPositiveDefinite (a LinAlgError), StructureMismatch, TlsNotGeneric
-        # and UndefinedConditionNumber are all ValueErrors
+        # and UndefinedConditionNumber are all ValueErrors; unreadable problem
+        # files and unwritable --out paths are OSErrors
         print(f"ilscond {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -365,7 +365,7 @@ def estimate_kappa_inf_ssce(problem, params=None, config=None):
     m, n = problem.m, problem.n
     t = m * (n + 1)
     L = params.l_matrix(n)
-    jac = problem.jacobian(L)
+    jac = problem.jacobian(None if params.L is None else L)
     rng = config.make_rng()
     Z = rng.standard_normal((t, config.k))
     Q, _ = np.linalg.qr(Z)

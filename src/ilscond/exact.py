@@ -16,6 +16,7 @@ import numpy as np
 from .kron import ddagger, entrywise_div, unvec, vec
 
 DENSE_ENTRY_GUARD = 50_000_000
+ROWSUM_BLOCK_ENTRIES = 1 << 16
 
 
 class UndefinedConditionNumber(ValueError):
@@ -197,35 +198,51 @@ class JacobianMg:
     def abs_weighted_rowsums(self, Wa, wb):
         """Rows of |Mg| times the stacked nonnegative weights [vec(Wa); wb].
 
-        Evaluated row by row in a fixed order (deterministic sums, O(m n)
-        working memory per row).
+        Rows are processed in blocks of at most ROWSUM_BLOCK_ENTRIES matrix
+        entries (at least one row), each block one (rows, m, n) array formed
+        in place.  Every row is still summed as one contiguous m x n block
+        and its b part as one dot product, so the result is bit-identical
+        to a row-by-row loop and independent of the block height.
         """
         Wa = np.asarray(Wa, dtype=float)
         wb = np.asarray(wb, dtype=float).ravel()
-        out = np.empty(self.k)
-        for i in range(self.k):
-            Ra, rb = self.row(i)
-            out[i] = float(np.sum(np.abs(Ra) * Wa) + np.abs(rb) @ wb)
+        m, n, k = self.m, self.n, self.k
+        h = max(1, min(k, ROWSUM_BLOCK_ENTRIES // (m * n)))
+        R, S = np.empty((h, m, n)), np.empty((h, m, n))
+        Ut, Vt = self.U.T[:, None, :], self.V.T[:, :, None]
+        absVt = np.ascontiguousarray(np.abs(self.V.T))
+        # (k, 1, m) @ (m, 1) takes one unit-stride dot product per row
+        out = np.matmul(absVt[:, None, :], wb[:, None])[:, 0, 0]
+        for i in range(0, k, h):
+            r, s = R[: k - i], S[: k - i]
+            np.multiply(self.w[:, None], Ut[i:i + h], out=r)
+            np.multiply(Vt[i:i + h], self.x, out=s)
+            r -= s
+            np.abs(r, out=r)
+            r *= Wa
+            out[i:i + h] += r.sum(axis=(1, 2))
         return out
 
     def structured_cols(self, basis_a, basis_b):
         """Signed products Mg * blkdiag(Phi_A, Phi_B) as (k x k1, k x k2) blocks.
 
-        Each structure column is applied through its sparse support, so the
-        inner products keep cancellation inside a structure parameter.
+        Column j of the A block sums, over the entries (i, c, v) of
+        parameter j, the rows v (w_i U[c] - x_c V[i]) of the first-order
+        map; the sums run as one segment sum over the basis entries, in
+        O(nnz k) memory with no m x k1 or n x k1 intermediate.
         """
-        m, n = self.m, self.n
-        GA = np.empty((self.k, basis_a.k))
-        for j, (idx, vals) in enumerate(basis_a.supports):
-            rows = idx % m
-            cols = idx // m
-            t1 = np.bincount(cols, weights=vals * self.w[rows], minlength=n)
-            t2 = np.bincount(rows, weights=vals * self.x[cols], minlength=m)
-            GA[:, j] = self.U.T @ t1 - self.V.T @ t2
-        GB = np.empty((self.k, basis_b.k))
-        for j, (idx, vals) in enumerate(basis_b.supports):
-            GB[:, j] = self.V[idx].T @ vals
+        cols, rows = np.divmod(basis_a.index, self.m)
+        P = self.U[cols] * (basis_a.value * self.w[rows])[:, None]
+        P -= self.V[rows] * (basis_a.value * self.x[cols])[:, None]
+        GA = np.add.reduceat(P, _segment_starts(basis_a), axis=0).T
+        P = self.V[basis_b.index] * basis_b.value[:, None]
+        GB = np.add.reduceat(P, _segment_starts(basis_b), axis=0).T
         return GA, GB
+
+
+def _segment_starts(basis):
+    """First entry of every parameter in a basis's param-sorted entries."""
+    return np.searchsorted(basis.param, np.arange(basis.k))
 
 
 def _induced_norm(mat, mu, nu):
@@ -348,7 +365,8 @@ class ConditionReport:
 
     @cached_property
     def jac(self):
-        return self.problem.jacobian(self.L)
+        # L = None lets the problem share its identity-L map with estimators
+        return self.problem.jacobian(None if self.params.L is None else self.L)
 
     @cached_property
     def ltx(self):

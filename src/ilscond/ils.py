@@ -195,6 +195,7 @@ class IlsProblem:
                 stacklevel=2,
             )
         self._solution = None
+        self._jacobian = None
 
     @property
     def p(self):
@@ -213,8 +214,12 @@ class IlsProblem:
         return self.factor.solve(V)
 
     def jacobian(self, L=None):
-        """First-order map of L^T x (L = I when omitted)."""
-        return JacobianMg.for_ils(self, L)
+        """First-order map of L^T x; the L = I map (L omitted) is built once."""
+        if L is not None:
+            return JacobianMg.for_ils(self, L)
+        if self._jacobian is None:
+            self._jacobian = JacobianMg.for_ils(self)
+        return self._jacobian
 
     @property
     def solution(self):

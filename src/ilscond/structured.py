@@ -4,7 +4,10 @@ A structure basis is the fixed matrix Phi mapping the independent parameters
 of a matrix class (Toeplitz, Hankel, symmetric, stacked scaled copies) to its
 vectorization.  For every supported kind the columns of Phi have disjoint
 supports, hence Phi^T Phi = diag(d^2) with d the column norms.  Phi is kept
-as per-parameter index/value lists; dense copies exist only for diagnostics.
+as three flat entry arrays (param, index, value), one entry per nonzero and
+sorted by parameter, so embedding, extraction and the structured columns are
+single scatters, bincounts and segment sums; dense copies exist only for
+diagnostics.
 
 The structured condition numbers are fields of exact.ConditionReport, which
 extracts the data parameters and builds the structured columns Mg Phi once
@@ -30,33 +33,39 @@ class StructureMismatch(ValueError):
 class StructureBasis:
     """Sparse column basis Phi with orthogonal (disjoint-support) columns.
 
-    supports is a list with one (flat_index_array, value_array) pair per
-    independent parameter; flat indices address vec(data) column-major.
+    Entry e of Phi sits at row index[e] (a flat column-major index into
+    vec(data)) and column param[e] with value value[e]; the entries are
+    stably sorted by param, so the entries of one parameter are contiguous.
+    Every parameter in range(k) needs at least one entry; d holds the k
+    column norms.
     """
 
-    def __init__(self, kind, shape, supports):
+    def __init__(self, kind, shape, param, index, value):
         self.kind = kind
         self.shape = tuple(shape)
-        self.supports = [
-            (np.asarray(idx, dtype=np.intp), np.asarray(vals, dtype=float))
-            for idx, vals in supports
-        ]
-        self.k = len(self.supports)
+        order = np.argsort(param, kind="stable")
+        self.param = np.asarray(param, dtype=np.intp)[order]
+        self.index = np.asarray(index, dtype=np.intp)[order]
+        self.value = np.asarray(value, dtype=float)[order]
         self.size = int(np.prod(self.shape))
-        self.d = np.array([np.linalg.norm(vals) for _, vals in self.supports])
+        self.d = np.sqrt(np.bincount(self.param, weights=self.value**2))
+        self.k = self.d.size
 
     @property
     def is_matrix(self):
         return len(self.shape) == 2
+
+    def _scatter(self, s):
+        # vec(Phi s): disjoint supports make each entry a single product
+        return np.bincount(self.index, weights=s[self.param] * self.value,
+                           minlength=self.size)
 
     def embed(self, s):
         """Assemble the structured data from its parameter vector."""
         s = np.asarray(s, dtype=float).ravel()
         if s.size != self.k:
             raise ValueError(f"parameter vector has length {s.size}, expected {self.k}")
-        out = np.zeros(self.size)
-        for sj, (idx, vals) in zip(s, self.supports):
-            out[idx] += sj * vals
+        out = self._scatter(s)
         if self.is_matrix:
             return out.reshape(self.shape, order="F")
         return out
@@ -78,8 +87,9 @@ class StructureBasis:
             v = data.ravel()
             if v.size != self.size:
                 raise ValueError(f"data length {v.size}, expected {self.size}")
-        s = np.array([(vals @ v[idx]) / d**2 for (idx, vals), d in zip(self.supports, self.d)])
-        resid = v - vec(self.embed(s)) if self.is_matrix else v - self.embed(s)
+        s = np.bincount(self.param, weights=self.value * v[self.index],
+                        minlength=self.k) / self.d**2
+        resid = v - self._scatter(s)
         scale = max(np.linalg.norm(v), 1.0)
         worst = int(np.argmax(np.abs(resid)))
         if np.abs(resid[worst]) > tol * scale:
@@ -96,48 +106,26 @@ class StructureBasis:
     def dense(self):
         """Dense Phi (size x k); diagnostics and test oracles only."""
         out = np.zeros((self.size, self.k))
-        for j, (idx, vals) in enumerate(self.supports):
-            out[idx, j] = vals
+        out[self.index, self.param] = self.value
         return out
 
 
-def _toeplitz_supports(m, n):
-    # parameters ordered first column (offsets i-j = 0..m-1) then first row tail
-    flat = np.arange(m * n).reshape((m, n), order="F")
-    ii = flat % m
-    jj = flat // m
-    supports = []
-    for off in range(m):
-        idx = flat[ii - jj == off].ravel()
-        supports.append((np.sort(idx), np.ones(idx.size)))
-    for off in range(1, n):
-        idx = flat[jj - ii == off].ravel()
-        supports.append((np.sort(idx), np.ones(idx.size)))
-    return supports
+def _grid_param(kind, m, n):
+    """Parameter of every entry of an m x n matrix, in vec (column-major) order.
 
-
-def _hankel_supports(m, n):
-    flat = np.arange(m * n).reshape((m, n), order="F")
-    ii = flat % m
-    jj = flat // m
-    supports = []
-    for t in range(m + n - 1):
-        idx = flat[ii + jj == t].ravel()
-        supports.append((np.sort(idx), np.ones(idx.size)))
-    return supports
-
-
-def _symmetric_supports(n):
-    supports = []
-    for j in range(n):
-        for i in range(j + 1):
-            if i == j:
-                supports.append((np.array([j * n + i]), np.array([1.0])))
-            else:
-                supports.append(
-                    (np.array([j * n + i, i * n + j]), np.array([1.0, 1.0]))
-                )
-    return supports
+    Toeplitz numbers the first column (offsets i - j = 0..m-1) and then the
+    first row's tail; Hankel numbers the antidiagonals i + j; symmetric
+    numbers the upper triangle column by column; full numbers every entry.
+    """
+    jj, ii = np.divmod(np.arange(m * n), m)
+    if kind == "toeplitz":
+        return np.where(ii >= jj, ii - jj, m - 1 + jj - ii)
+    if kind == "hankel":
+        return ii + jj
+    if kind == "symmetric":
+        lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+        return hi * (hi + 1) // 2 + lo
+    return jj * m + ii
 
 
 def make_basis(kind, m, n=None, base_kind="toeplitz", scale=0.5):
@@ -158,39 +146,27 @@ def make_basis(kind, m, n=None, base_kind="toeplitz", scale=0.5):
     if n is None:
         if kind not in VECTOR_KINDS:
             raise ValueError(f"unsupported vector structure kind {kind!r}")
-        supports = [(np.array([i]), np.array([1.0])) for i in range(m)]
-        return StructureBasis("full", (m,), supports)
+        return StructureBasis("full", (m,), np.arange(m), np.arange(m), np.ones(m))
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unsupported structure kind {kind!r}")
-    if kind == "toeplitz":
-        return StructureBasis(kind, (m, n), _toeplitz_supports(m, n))
-    if kind == "hankel":
-        return StructureBasis(kind, (m, n), _hankel_supports(m, n))
-    if kind == "symmetric":
-        if m != n:
-            raise ValueError("symmetric structure needs a square shape")
-        return StructureBasis(kind, (n, n), _symmetric_supports(n))
-    if kind == "stacked_scaled":
-        if m % 2 != 0:
-            raise ValueError("stacked_scaled needs an even row count")
-        mb = m // 2
-        base = make_basis(base_kind, mb, n)
-        supports = []
-        for idx, vals in base.supports:
-            ii = idx % mb
-            jj = idx // mb
-            top = jj * m + ii
-            bot = jj * m + ii + mb
-            supports.append(
-                (np.concatenate([top, bot]), np.concatenate([vals, scale * vals]))
-            )
-        basis = StructureBasis(kind, (m, n), supports)
-        basis.base_kind = base_kind
-        basis.scale = float(scale)
-        return basis
-    # full: one parameter per entry
-    supports = [(np.array([e]), np.array([1.0])) for e in range(m * n)]
-    return StructureBasis("full", (m, n), supports)
+    if kind == "symmetric" and m != n:
+        raise ValueError("symmetric structure needs a square shape")
+    if kind != "stacked_scaled":
+        return StructureBasis(kind, (m, n), _grid_param(kind, m, n),
+                              np.arange(m * n), np.ones(m * n))
+    if m % 2 != 0:
+        raise ValueError("stacked_scaled needs an even row count")
+    mb = m // 2
+    base = make_basis(base_kind, mb, n)
+    jj, ii = np.divmod(base.index, mb)
+    top = jj * m + ii
+    # each parameter keeps its top entries first, then the scaled copies
+    basis = StructureBasis(kind, (m, n), np.concatenate([base.param, base.param]),
+                           np.concatenate([top, top + mb]),
+                           np.concatenate([base.value, scale * base.value]))
+    basis.base_kind = base_kind
+    basis.scale = float(scale)
+    return basis
 
 
 def basis_from_token(token, m, n):

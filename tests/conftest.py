@@ -1,9 +1,19 @@
 """Shared generators and independent oracles for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ilscond import CondParams, IlsProblem, NotPositiveDefinite, SignatureSplit
+
+# Property tests draw a bounded number of examples with no per-example
+# deadline; HYPOTHESIS_PROFILE=ci also fixes the examples drawn, so a CI run
+# is reproducible.
+settings.register_profile("dev", max_examples=60, deadline=None)
+settings.register_profile("ci", max_examples=60, deadline=None, derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
 def random_ils(rng, m=None, n=None, damp=0.35, rho=None):
@@ -60,6 +70,17 @@ def dense_mg_oracle(problem, L=None):
     P = dense_vec_perm(m, n)
     blockA = np.kron(Jr[None, :], LtMinv) @ P - np.kron(x[None, :], LtMinvAtJ)
     return np.hstack([blockA, LtMinvAtJ])
+
+
+def rowsums_oracle(jac, Wa, wb):
+    """Rows of |Mg| [vec(Wa); wb] summed one row at a time, the reference order."""
+    Wa = np.asarray(Wa, dtype=float)
+    wb = np.asarray(wb, dtype=float).ravel()
+    out = np.empty(jac.k)
+    for i in range(jac.k):
+        Ra, rb = jac.row(i)
+        out[i] = float(np.sum(np.abs(Ra) * Wa) + np.abs(rb) @ wb)
+    return out
 
 
 def directional_derivative(problem, L, dA, db):

@@ -262,6 +262,16 @@ class TestCliErrors:
             "ilscond exact: error: L^T x vanishes in the infinity norm"
         ]
 
+    @pytest.mark.parametrize("command", ["exact", "estimate", "compare"])
+    def test_missing_problem_file(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "absent.txt")
+        self._one_line_error(capsys, [command, missing], missing)
+
+    def test_table_out_in_missing_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "absent" / "t3.csv")
+        argv = ["table3", "--n", "4", "--trials", "1", "--out", out]
+        self._one_line_error(capsys, argv, out)
+
     def test_tls_not_generic(self, monkeypatch, capsys):
         import ilscond.cli
         from ilscond import TlsNotGeneric

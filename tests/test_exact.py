@@ -15,10 +15,11 @@ from ilscond import (
     kappa_unified,
 )
 from ilscond.bench import gen_example2
-from ilscond.exact import JacobianMg
+from ilscond import TlsProblem
+from ilscond.exact import ROWSUM_BLOCK_ENTRIES, JacobianMg
 from ilscond.kron import ddagger, entrywise_div, vec
 
-from conftest import dense_mg_oracle, directional_derivative, random_ils
+from conftest import dense_mg_oracle, directional_derivative, random_ils, rowsums_oracle
 
 
 def rel_err(a, b):
@@ -218,6 +219,41 @@ class TestWeightedGram:
         before = [kappa_unified(prob, p, 2, 2) for p in cases]
         monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
         assert [kappa_unified(prob, p, 2, 2) for p in cases] == before
+
+
+class TestBlockedRowsums:
+    """The blocked |Mg| row sums equal the row-by-row loop bit for bit."""
+
+    def test_partial_last_block(self, rng):
+        prob = random_ils(rng, m=60, n=40)
+        jac = prob.jacobian()
+        height = ROWSUM_BLOCK_ENTRIES // (prob.m * prob.n)
+        assert jac.k > height and jac.k % height != 0
+        Wa, wb = np.abs(prob.A), np.abs(prob.b)
+        assert np.array_equal(jac.abs_weighted_rowsums(Wa, wb), rowsums_oracle(jac, Wa, wb))
+
+    def test_one_row_per_block_above_the_cap(self, rng):
+        prob = random_ils(rng, m=300, n=230)
+        assert prob.m * prob.n > ROWSUM_BLOCK_ENTRIES
+        jac = prob.jacobian(rng.standard_normal((prob.n, 3)))
+        Wa, wb = np.abs(prob.A), np.abs(prob.b)
+        assert np.array_equal(jac.abs_weighted_rowsums(Wa, wb), rowsums_oracle(jac, Wa, wb))
+
+    def test_elementwise_weights_with_zeros(self, rng):
+        prob = random_ils(rng, m=50, n=30)
+        jac = prob.jacobian()
+        Wa = np.abs(rng.standard_normal((prob.m, prob.n)))
+        Wa[rng.random(Wa.shape) < 0.3] = 0.0
+        wb = np.abs(rng.standard_normal(prob.m))
+        wb[::4] = 0.0
+        assert np.array_equal(jac.abs_weighted_rowsums(Wa, wb), rowsums_oracle(jac, Wa, wb))
+
+    def test_tls_jacobian(self, rng):
+        A = rng.standard_normal((30, 8))
+        tls = TlsProblem(A, A @ rng.standard_normal(8) + 0.3 * rng.standard_normal(30))
+        jac = tls.jacobian()
+        Wa, wb = np.abs(tls.A), np.abs(tls.b)
+        assert np.array_equal(jac.abs_weighted_rowsums(Wa, wb), rowsums_oracle(jac, Wa, wb))
 
 
 class TestCondParamsValidation:

@@ -22,7 +22,7 @@ from ilscond import (
     kappa_mixed_tls,
     make_basis,
 )
-from ilscond.bench import gen_example2, gen_example3
+from ilscond.bench import _run_trial, gen_example2, gen_example3, table2_config
 from ilscond.exact import JacobianMg
 from ilscond.structured import StructureBasis
 from ilscond.tls import StackedProblem
@@ -115,6 +115,21 @@ def test_every_shared_piece_is_built_once(kind, rng, monkeypatch):
         assert np.isfinite(getattr(report, name))
     assert calls == {"jacobian": 1, "abs_weighted_rowsums": 1, "structured_cols": 1,
                      "extract": 2}
+
+
+def test_ex2_trial_builds_one_jacobian(rng, monkeypatch):
+    # the exact values and the small-sample estimates share one identity-L map
+    calls = []
+    original = JacobianMg.for_ils
+
+    def counted(problem, L=None):
+        calls.append(L)
+        return original(problem, L)
+
+    monkeypatch.setattr(JacobianMg, "for_ils", staticmethod(counted))
+    values = _run_trial(table2_config(trials=1), 1e4, 1.0, rng)
+    assert np.isfinite(values["r_m"]) and np.isfinite(values["r_c"])
+    assert len(calls) == 1
 
 
 def test_structured_fields_need_structure(rng):

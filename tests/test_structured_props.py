@@ -1,0 +1,109 @@
+"""Property tests of the flat-entry structure bases and the structured columns.
+
+Every kind is drawn at random shapes up to 12 x 12; the example count and
+the deadline come from the hypothesis profile selected in conftest.py.
+"""
+
+import numpy as np
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from ilscond import (
+    CondParams,
+    ConditionReport,
+    IlsProblem,
+    NotPositiveDefinite,
+    SignatureSplit,
+    StructuredParams,
+    kappa_2ils,
+    make_basis,
+)
+from ilscond.exact import JacobianMg
+from ilscond.kron import vec
+from ilscond.structured import MATRIX_KINDS
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def bases(draw, max_dim=12):
+    """A matrix structure basis of any kind, or the full vector basis."""
+    kind = draw(st.sampled_from(MATRIX_KINDS + ("vector",)))
+    n = draw(st.integers(1, max_dim))
+    if kind == "vector":
+        return make_basis("full", n)
+    if kind == "symmetric":
+        return make_basis(kind, n, n)
+    if kind == "stacked_scaled":
+        base_kind = draw(st.sampled_from(("toeplitz", "hankel", "symmetric", "full")))
+        mb = n if base_kind == "symmetric" else draw(st.integers(1, max_dim // 2))
+        scale = draw(st.sampled_from((0.5, -2.0, 3.0)))
+        return make_basis(kind, 2 * mb, n, base_kind=base_kind, scale=scale)
+    return make_basis(kind, draw(st.integers(1, max_dim)), n)
+
+
+def _blkdiag_reference(jac, basis_a, basis_b):
+    """Dense products Mg Phi and the sums of absolute terms they round."""
+    mg = jac.dense()
+    mn = jac.m * jac.n
+    pa, pb = basis_a.dense(), basis_b.dense()
+    return ((mg[:, :mn] @ pa, np.abs(mg[:, :mn]) @ np.abs(pa)),
+            (mg[:, mn:] @ pb, np.abs(mg[:, mn:]) @ np.abs(pb)))
+
+
+@given(bases())
+def test_entries_sorted_and_gram_diagonal(basis):
+    assert np.all(np.diff(basis.param) >= 0)
+    assert basis.param.size == basis.index.size == basis.value.size
+    assert np.array_equal(np.unique(basis.param), np.arange(basis.k))
+    phi = basis.dense()
+    gram = phi.T @ phi
+    assert np.count_nonzero(gram - np.diag(np.diag(gram))) == 0
+    np.testing.assert_allclose(np.diag(gram), basis.d**2, rtol=1e-15)
+
+
+@given(bases(), SEEDS)
+def test_extract_inverts_embed(basis, seed):
+    s = np.random.default_rng(seed).standard_normal(basis.k)
+    data = basis.embed(s)
+    assert data.shape == basis.shape
+    np.testing.assert_array_equal(vec(data), basis.dense() @ s)
+    np.testing.assert_allclose(basis.extract(data), s, rtol=1e-14, atol=1e-15)
+
+
+@given(bases(), SEEDS, st.integers(1, 6))
+def test_structured_cols_match_dense_product(basis_a, seed, k):
+    assume(basis_a.is_matrix)
+    m, n = basis_a.shape
+    rng = np.random.default_rng(seed)
+    jac = JacobianMg(rng.standard_normal(m), rng.standard_normal((n, k)),
+                     rng.standard_normal((m, k)), rng.standard_normal(n),
+                     np.zeros((m, n)), np.zeros(m))
+    basis_b = make_basis("full", m)
+    GA, GB = jac.structured_cols(basis_a, basis_b)
+    (refA, boundA), (refB, boundB) = _blkdiag_reference(jac, basis_a, basis_b)
+    assert GA.shape == (k, basis_a.k) and GB.shape == (k, m)
+    assert np.all(np.abs(GA - refA) <= 1e-13 * boundA)
+    assert np.all(np.abs(GB - refB) <= 1e-13 * boundB)
+
+
+@given(bases(max_dim=8), SEEDS, st.floats(0.25, 4.0), st.floats(0.25, 4.0))
+def test_structured_never_exceeds_unstructured(basis_a, seed, psi, beta):
+    assume(basis_a.is_matrix and basis_a.shape[0] >= basis_a.shape[1])
+    m, n = basis_a.shape
+    rng = np.random.default_rng(seed)
+    A = basis_a.embed(rng.standard_normal(basis_a.k))
+    assume(np.linalg.cond(A) < 1e4)
+    q = int(rng.integers(0, (m - n) // 3 + 1))
+    try:
+        problem = IlsProblem(A, rng.standard_normal(m), SignatureSplit(m - q, q))
+    except NotPositiveDefinite:
+        assume(False)
+    params = CondParams(psi=psi, beta=beta)
+    report = ConditionReport(problem, params,
+                             StructuredParams(basis_a, make_basis("full", m)))
+    tol = 1 + 1e-12
+    assert report.structured_2 <= kappa_2ils(problem, params) * tol
+    assert report.structured_mixed <= report.mixed * tol
+    assert report.structured_componentwise <= report.componentwise * tol
+

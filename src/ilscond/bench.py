@@ -61,7 +61,7 @@ def gen_example1(m, n, p, l, rho, seed):
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
         T = np.zeros((m, n))
-        T[:n, :n] = np.diag(np.arange(n, 0, -1.0) ** l) / float(n) ** l
+        T[:n, :n] = np.diag(np.arange(n, 0, -1.0) ** l / float(n) ** l)
         T[:p] -= 2.0 * np.outer(up, up @ T[:p])
         T[p:] -= 2.0 * np.outer(uq, uq @ T[p:])
         A = T - 2.0 * np.outer(T @ v, v)

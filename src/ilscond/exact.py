@@ -4,8 +4,9 @@ Covers the unified weighted form under the induced (2,2) and (inf,inf)
 norms, the two equivalent 2-norm closed forms, the infinity-norm mixed and
 componentwise forms, and an independent SVD-based cross-check for the
 ordinary least squares reduction.  The first-order map from (dA, db) to
-d(L^T x) is row-structured: its 2-norms come from a k x k Gram matrix and
-its infinity norms from row sums, so no m*n + m column matrix is formed.
+d(L^T x) is row-structured, so no m*n + m column matrix is formed: every
+spectral norm is sqrt(lambda_max) of a k x k Gram matrix (_gram_norm), and
+every infinity norm a row sum.
 """
 
 from dataclasses import dataclass
@@ -245,6 +246,11 @@ def _segment_starts(basis):
     return np.searchsorted(basis.param, np.arange(basis.k))
 
 
+def _gram_norm(G):
+    """||F||_2 = sqrt(lambda_max(G)) from G = F F^T, relatively accurate to O(k eps)."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
+
+
 def _induced_norm(mat, mu, nu):
     if (mu, nu) == (2, 2):
         return float(np.linalg.norm(mat, 2))
@@ -262,28 +268,28 @@ def kappa_unified(problem, params, mu=2, nu=2):
     """
     if (mu, nu) not in ((2, 2), (np.inf, np.inf)):
         raise NotImplementedError(f"induced ({mu}, {nu})-norm is not supported")
-    jac = problem.jacobian(params.l_matrix(problem.n))
+    jac = problem.jacobian(None if params.L is None else params.l_matrix(problem.n))
     xi = params.xi_vector(jac.k)
     Wa = params.psi_matrix(problem.m, problem.n)
     wb = params.beta_vector(problem.m)
     if mu == np.inf:
         return componentwise_ratio(jac.abs_weighted_rowsums(np.abs(Wa), np.abs(wb)), xi)
-    G = jac.weighted_gram(Wa, wb, ddagger(xi))
-    return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
+    return _gram_norm(jac.weighted_gram(Wa, wb, ddagger(xi)))
 
 
 def normwise_map(problem, params):
     """The k x (2m + n) matrix whose spectral norm over xi is the 2-norm kappa.
 
     When r = 0 the rank-one corrections vanish identically; they are dropped,
-    which is the r -> 0 limit of the cross-product form.
+    which is the r -> 0 limit of the cross-product form.  U = M^{-1} L and
+    A U = J V (an exact sign flip) come from the problem's Jacobian, so the
+    default L shares the problem's one identity-L map.
     """
     psi, beta, _ = params.scalars()
-    L = params.l_matrix(problem.n)
     sol = problem.solution
     x, r = sol.x, sol.r
-    U = problem.apply_minv(L)
-    AU = problem.A @ U
+    jac = problem.jacobian(None if params.L is None else params.l_matrix(problem.n))
+    U, AU = jac.U, problem.j_apply(jac.V)
     rn = float(np.linalg.norm(r))
     xn = float(np.linalg.norm(x))
     k = U.shape[1]
@@ -299,10 +305,11 @@ def normwise_map(problem, params):
 
 
 def kappa_2ils(problem, params=None):
-    """Partial 2-norm condition number via the factored k x (2m + n) form."""
+    """Partial 2-norm condition number: ||S||_2 / xi of the factored form, via S S^T."""
     params = params or CondParams()
     _, _, xi = params.scalars()
-    return float(np.linalg.norm(normwise_map(problem, params), 2)) / xi
+    S = normwise_map(problem, params)
+    return _gram_norm(S @ S.T) / xi
 
 
 def kappa_2ils_cross(problem, params=None):
@@ -411,11 +418,11 @@ class ConditionReport:
 
     @cached_property
     def structured_2(self):
-        """Spectral norm of [psi Mg_A Phi_A D_A^{-1}, beta Mg_b Phi_B D_B^{-1}] / xi."""
+        """||F||_2 / xi via F F^T, F = [psi Mg_A Phi_A / d_A, beta Mg_b Phi_B / d_B]."""
         psi, beta, xi = self.params.scalars()
         GA, GB = self.structured_cols
-        G = np.hstack([psi * GA / self.sparams.basisA.d, beta * GB / self.sparams.basisB.d])
-        return float(np.linalg.norm(G, 2)) / xi
+        F = np.hstack([psi * GA / self.sparams.basisA.d, beta * GB / self.sparams.basisB.d])
+        return _gram_norm(F @ F.T) / xi
 
     @cached_property
     def structured_mixed(self):

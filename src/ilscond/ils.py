@@ -129,7 +129,11 @@ def check_spd(A, split, diagnose=False):
     NotPositiveDefinite on breakdown; with diagnose=True the error carries the
     smallest eigenvalue of M for debugging near-singular cases.
     """
-    A = checked_data("A", A, matrix=True)
+    return _normal_factor(checked_data("A", A, matrix=True), split, diagnose)
+
+
+def _normal_factor(A, split, diagnose):
+    # check_spd on an A that checked_data has already validated
     if split.m != A.shape[0]:
         raise ValueError(f"signature split p+q={split.m} does not match m={A.shape[0]}")
     Ap = A[: split.p]
@@ -183,7 +187,7 @@ class IlsProblem:
         self.split = split
         self.m = m
         self.n = n
-        self.factor = check_spd(A, split, diagnose=diagnose)
+        self.factor = _normal_factor(A, split, diagnose)
         self.M = self.factor.M
         rcond = self.factor.rcond
         self.ill_conditioned = rcond < 1e3 * np.finfo(float).eps

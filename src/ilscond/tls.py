@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import CondParams, ConditionReport, JacobianMg, _induced_norm
+from .exact import CondParams, ConditionReport, JacobianMg, _gram_norm, _induced_norm
 from .ils import NotPositiveDefinite, SpdFactor, checked_data
 from .kron import ddagger, vec
 
@@ -104,7 +104,7 @@ def kappa_2tls(tls, params=None):
     psi, beta, xi = params.scalars()
     jac = tls_jacobian(tls, params.l_matrix(tls.n))
     G = jac.weighted_gram(np.full((tls.m, tls.n), psi), np.full(tls.m, beta))
-    return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0))) / xi
+    return _gram_norm(G) / xi
 
 
 def kappa_mixed_tls(tls, params=None):

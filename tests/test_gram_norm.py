@@ -1,0 +1,179 @@
+"""Every spectral norm from one k x k Gram reduction, and one identity-L map
+per problem shared by the 2-norm path, the unified form and the estimators."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from ilscond import (
+    CondParams,
+    ConditionReport,
+    IlsProblem,
+    NotPositiveDefinite,
+    SignatureSplit,
+    kappa_2ils,
+    kappa_2tls,
+    kappa_lls_svd_check,
+    kappa_unified,
+)
+from ilscond.bench import _run_trial, gen_example1, gen_example3, table1_config
+from ilscond.exact import JacobianMg, normwise_map
+from ilscond.ils import SpdFactor
+
+from conftest import random_ils
+from test_report import _toeplitz_tls
+
+SEEDS = st.integers(0, 2**32 - 1)
+WEIGHTS = st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0))  # (psi, beta)
+
+
+def rel_err(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def svd_kappa2(problem, params):
+    """The SVD route: the 2-norm of the dense factored map, over xi."""
+    return np.linalg.norm(normwise_map(problem, params), 2) / params.scalars()[2]
+
+
+def structured_f(report):
+    """The k x (k1 + k2) matrix F whose spectral norm over xi is structured_2."""
+    psi, beta, _ = report.params.scalars()
+    GA, GB = report.structured_cols
+    sp = report.sparams
+    return np.hstack([psi * GA / sp.basisA.d, beta * GB / sp.basisB.d])
+
+
+class TestKappa2ilsAgainstSvd:
+    @pytest.mark.parametrize("l", [0, 3])
+    @pytest.mark.parametrize("rho", [1e-4, 1.0, 1e4])
+    def test_example1(self, l, rho):
+        prob, _, _ = gen_example1(40, 24, 30, l, rho, seed=11)
+        params = CondParams()
+        assert rel_err(kappa_2ils(prob, params), svd_kappa2(prob, params)) <= 1e-13
+
+    def test_zero_residual(self, rng):
+        # b = 0 gives x = 0 and r = 0 exactly: the r = 0 branch of the map
+        A = rng.standard_normal((14, 5))
+        A[10:] *= 0.3
+        prob = IlsProblem(A, np.zeros(14), SignatureSplit(10, 4))
+        assert not np.any(prob.solution.r)
+        params = CondParams(beta=1.7)
+        assert rel_err(kappa_2ils(prob, params), svd_kappa2(prob, params)) <= 1e-13
+
+    def test_partial_l_scalar_weights(self, rng):
+        prob = random_ils(rng, m=20, n=8)
+        params = CondParams(L=rng.standard_normal((8, 3)), psi=0.7, beta=2.5, xi=1.3)
+        assert rel_err(kappa_2ils(prob, params), svd_kappa2(prob, params)) <= 1e-13
+
+
+class TestStructured2AgainstSvd:
+    def test_example3(self, rng):
+        prob, sparams, _, _ = gen_example3(10, 1.0, rng)
+        report = ConditionReport(prob, CondParams(psi=0.6, beta=1.4, xi=2.0), sparams)
+        expected = np.linalg.norm(structured_f(report), 2) / 2.0
+        assert rel_err(report.structured_2, expected) <= 1e-13
+
+    def test_toeplitz_tls(self, rng):
+        tls, sparams = _toeplitz_tls(rng)
+        report = ConditionReport(tls, CondParams(), sparams)
+        expected = np.linalg.norm(structured_f(report), 2)
+        assert rel_err(report.structured_2, expected) <= 1e-13
+
+
+def test_spectral_norms_take_no_svd(rng, monkeypatch):
+    prob, sparams, _, _ = gen_example3(8, 1.0, rng)
+    tls, _ = _toeplitz_tls(rng)
+    report = ConditionReport(prob, CondParams(), sparams)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("spectral norm taken by an SVD")
+
+    norm = np.linalg.norm
+
+    def no_matrix_2norm(a, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(a) == 2:
+            no_svd()
+        return norm(a, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", no_matrix_2norm)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(scipy.linalg, "svd", no_svd)
+    monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
+    values = [kappa_2ils(prob), report.structured_2, kappa_unified(prob, CondParams()),
+              kappa_2tls(tls)]
+    assert all(np.isfinite(v) and v > 0 for v in values)
+
+
+def _count_for_ils(monkeypatch):
+    calls = []
+    original = JacobianMg.for_ils
+
+    def counted(problem, L=None):
+        calls.append(L)
+        return original(problem, L)
+
+    monkeypatch.setattr(JacobianMg, "for_ils", staticmethod(counted))
+    return calls
+
+
+def test_ex1_trial_builds_one_jacobian(rng, monkeypatch):
+    # kappa_2ils and the PCE cap share the identity-L map; the small-sample
+    # estimate solves with its k directions only
+    calls = _count_for_ils(monkeypatch)
+    widths = []
+    original = SpdFactor.solve
+
+    def counted_solve(self, V):
+        widths.append(np.shape(V)[1] if np.ndim(V) == 2 else 1)
+        return original(self, V)
+
+    monkeypatch.setattr(SpdFactor, "solve", counted_solve)
+    config = table1_config(trials=1)
+    values = _run_trial(config, 3, 1.0, rng)
+    assert np.isfinite(values["r_p"]) and np.isfinite(values["r_s"])
+    assert calls == [None]
+    assert widths.count(config.n) == 1
+
+
+def test_kappa_unified_shares_identity_jacobian(rng, monkeypatch):
+    calls = _count_for_ils(monkeypatch)
+    prob = random_ils(rng, m=16, n=6)
+    ConditionReport(prob).mixed
+    kappa_unified(prob, CondParams(), np.inf, np.inf)
+    kappa_unified(prob, CondParams())
+    assert calls == [None]
+    L = rng.standard_normal((6, 2))
+    kappa_unified(prob, CondParams(L=L))  # an explicit L builds its own map
+    assert len(calls) == 2 and calls[1] is not None
+
+
+@given(SEEDS, WEIGHTS)
+def test_identity_signature_matches_svd_oracle(seed, w):
+    # J = I: ordinary least squares, where the thin-SVD closed form is an
+    # independent oracle for the Gram route
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    m = int(rng.integers(n + 1, 20))
+    A = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    params = CondParams(psi=w[0], beta=w[1], xi=1.5)
+    prob = IlsProblem(A, b, SignatureSplit(m, 0))
+    assert rel_err(kappa_2ils(prob, params), kappa_lls_svd_check(A, b, params)) <= 1e-9
+
+
+@given(SEEDS, WEIGHTS, st.floats(1e-3, 1e3))
+def test_scaling_data_and_weights_leaves_kappa2_unchanged(seed, w, c):
+    # x is unchanged, r scales by c and M^{-1} by 1/c^2, so weights scaled by
+    # c give the same kappa_2ils
+    prob = random_ils(np.random.default_rng(seed))
+    psi, beta = w
+    try:
+        scaled = IlsProblem(c * prob.A, c * prob.b, prob.split)
+    except NotPositiveDefinite:
+        assume(False)
+    before = kappa_2ils(prob, CondParams(psi=psi, beta=beta))
+    after = kappa_2ils(scaled, CondParams(psi=c * psi, beta=c * beta))
+    assert rel_err(before, after) <= 1e-9

@@ -240,61 +240,15 @@ def spectral_interval(op, delta=1e-2, epsilon=1e-3, seed=None, det_bound=None):
     )
 
 
-def _pce_operator(problem, params):
-    """Matrix-free normwise map: products with S and S^T avoid forming M^{-1}.
-
-    Applying S solves M z = D v with the cached factor and projects with
-    L^T; the transpose applies D^T to M^{-1} L y.
-    """
-    psi, beta, _ = params.scalars()
-    L = params.l_matrix(problem.n)
-    sol = problem.solution
-    x, r = sol.x, sol.r
-    A = problem.A
-    m, n = problem.m, problem.n
-    k = L.shape[1]
-    rn = float(np.linalg.norm(r))
-    xn = float(np.linalg.norm(x))
-    rn2 = rn**2
-
-    def matvec(v):
-        v = np.asarray(v, dtype=float).ravel()
-        v1, v2, v3 = v[:n], v[n : n + m], v[n + m :]
-        if rn > 0.0:
-            d = psi * rn * (v1 - (A.T @ r) * (x @ v1) / rn2)
-            d += psi * xn * (A.T @ v3 - (A.T @ r) * (r @ v3) / rn2)
-        else:
-            d = psi * xn * (A.T @ v3)
-        d -= beta * (A.T @ v2)
-        z = problem.apply_minv(d)
-        return L.T @ z
-
-    def rmatvec(y):
-        y = np.asarray(y, dtype=float).ravel()
-        z = problem.apply_minv(L @ y)
-        Az = A @ z
-        if rn > 0.0:
-            b1 = psi * rn * (z - x * (r @ Az) / rn2)
-            b3 = psi * xn * (Az - r * (r @ Az) / rn2)
-        else:
-            b1 = np.zeros(n)
-            b3 = psi * xn * Az
-        b2 = -beta * Az
-        return np.concatenate([b1, b2, b3])
-
-    return scipy.sparse.linalg.LinearOperator(
-        shape=(k, 2 * m + n), matvec=matvec, rmatvec=rmatvec, dtype=float
-    )
-
-
 def estimate_kappa2_pce(problem, params=None, delta=1e-2, epsilon=1e-3, seed=None,
                         return_interval=False):
     """Probabilistic estimate of the 2-norm condition number.
 
-    Brackets the spectral norm of the factored normwise map in
-    [alpha1, alpha2] with alpha2/alpha1 <= 1 + delta and returns the scaled
-    midpoint, so the relative error is at most about delta/2 whenever the
-    interval contract holds.
+    Brackets the spectral norm of the factored form S (exact.normwise_map)
+    in [alpha1, alpha2] with alpha2/alpha1 <= 1 + delta and returns the
+    scaled midpoint, so the relative error is at most about delta/2 whenever
+    the interval contract holds.  Golub-Kahan multiplies with the same S
+    that gives the cap min(sqrt(||S||_1 ||S||_inf), ||S||_F).
     """
     params = params or CondParams()
     _, _, xi = params.scalars()
@@ -302,8 +256,7 @@ def estimate_kappa2_pce(problem, params=None, delta=1e-2, epsilon=1e-3, seed=Non
     n1 = float(np.max(np.sum(np.abs(S), axis=0)))
     ninf = float(np.max(np.sum(np.abs(S), axis=1)))
     det = min(math.sqrt(n1 * ninf), float(np.linalg.norm(S)))
-    op = _pce_operator(problem, params)
-    interval = spectral_interval(op, delta=delta, epsilon=epsilon, seed=seed,
+    interval = spectral_interval(S, delta=delta, epsilon=epsilon, seed=seed,
                                  det_bound=det)
     est = interval.midpoint / xi
     if return_interval:

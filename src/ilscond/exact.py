@@ -1,12 +1,12 @@
-"""Exact partial condition numbers of an ILS instance.
+"""Exact partial condition numbers of an ILS or TLS instance.
 
 Covers the unified weighted form under the induced (2,2) and (inf,inf)
-norms, the two equivalent 2-norm closed forms, the infinity-norm mixed and
-componentwise forms, and an independent SVD-based cross-check for the
-ordinary least squares reduction.  The first-order map from (dA, db) to
-d(L^T x) is row-structured, so no m*n + m column matrix is formed: every
-spectral norm is sqrt(lambda_max) of a k x k Gram matrix (_gram_norm), and
-every infinity norm a row sum.
+norms, the scalar-weight 2-norm, the infinity-norm mixed and componentwise
+forms, and two cross-checks for tests.  The first-order map from (dA, db)
+to d(L^T x) is row-structured, so no m*n + m column matrix is formed:
+every spectral norm is sqrt(lambda_max) of a k x k Gram matrix
+(_gram_norm), and every infinity norm a row sum.  With scalar weights the
+Gram matrix is S S^T of the Jacobian's k x (2m + n) factored form S.
 """
 
 from dataclasses import dataclass
@@ -40,11 +40,8 @@ class CondParams:
     psi: float | np.ndarray = 1.0
     beta: float | np.ndarray = 1.0
     xi: float | np.ndarray = 1.0
-    norm_mode: str = "two"
 
     def __post_init__(self):
-        if self.norm_mode not in ("two", "inf"):
-            raise ValueError("norm_mode must be 'two' or 'inf'")
         for name in ("psi", "beta", "xi"):
             w = getattr(self, name)
             if not np.all(np.isfinite(w)):
@@ -108,7 +105,8 @@ class JacobianMg:
     u_i, v_i the i-th columns of U and V.  For the ILS map, w = J r,
     U = M^{-1} L and V = J A M^{-1} L; the total least squares first-order
     map has the same shape with its own generators.  Until dense() is
-    called, memory stays at the O((m + n) k) generators.
+    called, memory stays at the O((m + n) k) generators and, once asked
+    for, the k x (2m + n) factored form.
     """
 
     def __init__(self, w, U, V, x, A, b):
@@ -124,6 +122,7 @@ class JacobianMg:
         if self.V.shape[1] != self.k or self.w.size != self.m or self.x.size != self.n:
             raise ValueError("inconsistent generator dimensions")
         self._dense = None
+        self._unit_factored = None
 
     @classmethod
     def for_ils(cls, problem, L=None):
@@ -181,6 +180,25 @@ class JacobianMg:
                 out[i, self.m * self.n:] = rb
             self._dense = out
         return self._dense
+
+    def factored(self, psi, beta):
+        """k x (2m + n) S with S S^T = weighted_gram for constant weights psi, beta.
+
+        S = [psi ||w|| (U^T - c x^T), -beta V^T, psi ||x|| (V^T - c w^T)],
+        c = V^T w / ||w||^2 (0 when w = 0, the w -> 0 limit).  Only the
+        generators enter, so this holds for the ILS and the TLS map alike.
+        The unit-weight S is built once; psi and beta scale its columns.
+        """
+        if self._unit_factored is None:
+            self._unit_factored = self._form_unit_factored()
+        return self._unit_factored * np.repeat([psi, beta, psi], [self.n, self.m, self.m])
+
+    def _form_unit_factored(self):
+        wn = float(np.linalg.norm(self.w))
+        c = (self.V.T @ self.w) / wn**2 if wn > 0.0 else np.zeros(self.k)
+        B1 = wn * (self.U.T - np.outer(c, self.x))
+        B3 = float(np.linalg.norm(self.x)) * (self.V.T - np.outer(c, self.w))
+        return np.hstack([B1, -self.V.T, B3])
 
     def weighted_gram(self, Wa, wb, rowscale=None):
         """Gram matrix F F^T (k x k) of F = diag(rowscale) Mg diag([vec(Wa); wb]).
@@ -241,6 +259,23 @@ class JacobianMg:
         return GA, GB
 
 
+class SharedJacobian:
+    """Problem mixin: ``jacobian(L)``, the first-order map of L^T x.
+
+    Subclasses build it in ``_build_jacobian(L)``; the L = I map (L omitted)
+    is built once, so every flavour with the default L shares it.
+    """
+
+    _identity_jacobian = None
+
+    def jacobian(self, L=None):
+        if L is not None:
+            return self._build_jacobian(L)
+        if self._identity_jacobian is None:
+            self._identity_jacobian = self._build_jacobian(None)
+        return self._identity_jacobian
+
+
 def _segment_starts(basis):
     """First entry of every parameter in a basis's param-sorted entries."""
     return np.searchsorted(basis.param, np.arange(basis.k))
@@ -278,34 +313,20 @@ def kappa_unified(problem, params, mu=2, nu=2):
 
 
 def normwise_map(problem, params):
-    """The k x (2m + n) matrix whose spectral norm over xi is the 2-norm kappa.
+    """The factored form S (JacobianMg.factored) whose ||S||_2 / xi is the 2-norm kappa.
 
-    When r = 0 the rank-one corrections vanish identically; they are dropped,
-    which is the r -> 0 limit of the cross-product form.  U = M^{-1} L and
-    A U = J V (an exact sign flip) come from the problem's Jacobian, so the
-    default L shares the problem's one identity-L map.
+    The default L reads the problem's one identity-L Jacobian.
     """
     psi, beta, _ = params.scalars()
-    sol = problem.solution
-    x, r = sol.x, sol.r
     jac = problem.jacobian(None if params.L is None else params.l_matrix(problem.n))
-    U, AU = jac.U, problem.j_apply(jac.V)
-    rn = float(np.linalg.norm(r))
-    xn = float(np.linalg.norm(x))
-    k = U.shape[1]
-    if rn > 0.0:
-        c = (AU.T @ r) / rn**2
-        B1 = psi * rn * (U.T - np.outer(c, x))
-        B3 = psi * xn * (AU.T - np.outer(c, r))
-    else:
-        B1 = np.zeros((k, problem.n))
-        B3 = psi * xn * AU.T
-    B2 = -beta * AU.T
-    return np.hstack([B1, B2, B3])
+    return jac.factored(psi, beta)
 
 
 def kappa_2ils(problem, params=None):
-    """Partial 2-norm condition number: ||S||_2 / xi of the factored form, via S S^T."""
+    """Partial 2-norm condition number ||S||_2 / xi of the factored form, via S S^T.
+
+    Serves every problem with a ``jacobian``: IlsProblem and TlsProblem.
+    """
     params = params or CondParams()
     _, _, xi = params.scalars()
     S = normwise_map(problem, params)

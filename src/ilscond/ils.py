@@ -14,7 +14,7 @@ from numbers import Integral
 import numpy as np
 import scipy.linalg
 
-from .exact import JacobianMg
+from .exact import JacobianMg, SharedJacobian
 
 
 class NotPositiveDefinite(np.linalg.LinAlgError):
@@ -149,7 +149,7 @@ class IlsSolution:
     r: np.ndarray
 
 
-class IlsProblem:
+class IlsProblem(SharedJacobian):
     """An indefinite least squares instance with cached normal matrix.
 
     Parameters
@@ -199,7 +199,6 @@ class IlsProblem:
                 stacklevel=2,
             )
         self._solution = None
-        self._jacobian = None
 
     @property
     def p(self):
@@ -217,13 +216,8 @@ class IlsProblem:
         """Compute M^{-1} V with the certified factor."""
         return self.factor.solve(V)
 
-    def jacobian(self, L=None):
-        """First-order map of L^T x; the L = I map (L omitted) is built once."""
-        if L is not None:
-            return JacobianMg.for_ils(self, L)
-        if self._jacobian is None:
-            self._jacobian = JacobianMg.for_ils(self)
-        return self._jacobian
+    def _build_jacobian(self, L):
+        return JacobianMg.for_ils(self, L)
 
     @property
     def solution(self):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import CondParams, ConditionReport, JacobianMg, _gram_norm, _induced_norm
+from .exact import (CondParams, ConditionReport, JacobianMg, SharedJacobian,
+                    _induced_norm, kappa_2ils)
 from .ils import NotPositiveDefinite, SpdFactor, checked_data
 from .kron import ddagger, vec
 
@@ -23,7 +24,7 @@ class TlsNotGeneric(ValueError):
     """The smallest singular value of [A, b] is not separated from that of A."""
 
 
-class TlsProblem:
+class TlsProblem(SharedJacobian):
     """A generic total least squares instance with its shifted normal matrix.
 
     Construction computes sigma_tilde, the smallest singular value of
@@ -70,8 +71,7 @@ class TlsProblem:
         """Compute Mt^{-1} V with the certified factor."""
         return self.factor.solve(V)
 
-    def jacobian(self, L=None):
-        """First-order map of L^T x (L = I when omitted); see tls_jacobian."""
+    def _build_jacobian(self, L):
         return tls_jacobian(self, L)
 
 
@@ -94,17 +94,8 @@ def tls_jacobian(tls, L=None):
     return JacobianMg(tls.r, U, V, tls.x, tls.A, tls.b)
 
 
-def kappa_2tls(tls, params=None):
-    """Partial 2-norm TLS condition number (scalar weights).
-
-    The spectral norm of the k x (mn + m) weighted map, taken from its
-    k x k Gram matrix without forming the map.
-    """
-    params = params or CondParams()
-    psi, beta, xi = params.scalars()
-    jac = tls_jacobian(tls, params.l_matrix(tls.n))
-    G = jac.weighted_gram(np.full((tls.m, tls.n), psi), np.full(tls.m, beta))
-    return _gram_norm(G) / xi
+# the 2-norm TLS condition number is kappa_2ils on the TLS Jacobian's factored form
+kappa_2tls = kappa_2ils
 
 
 def kappa_mixed_tls(tls, params=None):

@@ -16,7 +16,6 @@ from ilscond import (
     spectral_interval,
     wallis,
 )
-from ilscond.estimate import _pce_operator
 from ilscond.exact import JacobianMg
 
 from conftest import random_ils
@@ -89,29 +88,6 @@ class TestSpectralInterval:
 
 
 class TestPce:
-    def test_operator_adjoint_identity(self, rng):
-        prob = random_ils(rng, m=12, n=5)
-        op = _pce_operator(prob, CondParams())
-        for _ in range(10):
-            v = rng.standard_normal(op.shape[1])
-            w = rng.standard_normal(op.shape[0])
-            lhs = np.dot(op.matvec(v), w)
-            rhs = np.dot(v, op.rmatvec(w))
-            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
-
-    def test_operator_matches_factored_matrix(self, rng):
-        from ilscond.exact import normwise_map
-
-        prob = random_ils(rng, m=10, n=4)
-        params = CondParams(psi=1.2, beta=0.8)
-        S = normwise_map(prob, params)
-        op = _pce_operator(prob, params)
-        for _ in range(5):
-            v = rng.standard_normal(S.shape[1])
-            np.testing.assert_allclose(op.matvec(v), S @ v, rtol=1e-11, atol=1e-12)
-            w = rng.standard_normal(S.shape[0])
-            np.testing.assert_allclose(op.rmatvec(w), S.T @ w, rtol=1e-11, atol=1e-12)
-
     def test_relative_error_within_delta(self, rng):
         for _ in range(25):
             prob = random_ils(rng)

@@ -1,5 +1,6 @@
-"""Every spectral norm from one k x k Gram reduction, and one identity-L map
-per problem shared by the 2-norm path, the unified form and the estimators."""
+"""Every spectral norm from one k x k Gram reduction, one factored form S per
+Jacobian, and one identity-L map per problem shared by the 2-norm path, the
+unified form and the estimators."""
 
 import numpy as np
 import pytest
@@ -7,16 +8,19 @@ import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import ilscond.tls
 from ilscond import (
     CondParams,
     ConditionReport,
     IlsProblem,
     NotPositiveDefinite,
     SignatureSplit,
+    TlsNotGeneric,
     kappa_2ils,
     kappa_2tls,
     kappa_lls_svd_check,
     kappa_unified,
+    solve_tls,
 )
 from ilscond.bench import _run_trial, gen_example1, gen_example3, table1_config
 from ilscond.exact import JacobianMg, normwise_map
@@ -67,6 +71,34 @@ class TestKappa2ilsAgainstSvd:
         prob = random_ils(rng, m=20, n=8)
         params = CondParams(L=rng.standard_normal((8, 3)), psi=0.7, beta=2.5, xi=1.3)
         assert rel_err(kappa_2ils(prob, params), svd_kappa2(prob, params)) <= 1e-13
+
+
+def _factored_case(kind, rng):
+    """A Jacobian of each kind the factored form must serve."""
+    if kind == "ils":
+        return random_ils(rng, m=14, n=5).jacobian()
+    if kind == "zero_residual":
+        # b = 0 gives x = 0 and r = 0 exactly: the w = 0 branch of the form
+        A = rng.standard_normal((14, 5))
+        A[10:] *= 0.3
+        prob = IlsProblem(A, np.zeros(14), SignatureSplit(10, 4))
+        assert not np.any(prob.solution.r)
+        return prob.jacobian()
+    if kind == "tls":
+        return _toeplitz_tls(rng)[0].jacobian()
+    prob = random_ils(rng, m=14, n=5)
+    return prob.jacobian(rng.standard_normal((5, 2)))
+
+
+@pytest.mark.parametrize("kind", ["ils", "zero_residual", "tls", "partial_l"])
+def test_factored_gram_equals_weighted_gram(kind, rng):
+    # S S^T of the k x (2m + n) form is the Gram matrix of the weighted map
+    jac = _factored_case(kind, rng)
+    psi, beta = 1.2, 0.8
+    S = jac.factored(psi, beta)
+    G = jac.weighted_gram(np.full((jac.m, jac.n), psi), np.full(jac.m, beta))
+    assert S.shape == (jac.k, 2 * jac.m + jac.n)
+    assert np.linalg.norm(S @ S.T - G) <= 1e-12 * np.linalg.norm(G)
 
 
 class TestStructured2AgainstSvd:
@@ -120,9 +152,17 @@ def _count_for_ils(monkeypatch):
 
 
 def test_ex1_trial_builds_one_jacobian(rng, monkeypatch):
-    # kappa_2ils and the PCE cap share the identity-L map; the small-sample
-    # estimate solves with its k directions only
+    # kappa_2ils and the PCE share the identity-L map and its factored form S;
+    # the small-sample estimate solves with its k directions only
     calls = _count_for_ils(monkeypatch)
+    forms = []
+    form = JacobianMg._form_unit_factored
+
+    def counted_form(self):
+        forms.append(self)
+        return form(self)
+
+    monkeypatch.setattr(JacobianMg, "_form_unit_factored", counted_form)
     widths = []
     original = SpdFactor.solve
 
@@ -135,6 +175,7 @@ def test_ex1_trial_builds_one_jacobian(rng, monkeypatch):
     values = _run_trial(config, 3, 1.0, rng)
     assert np.isfinite(values["r_p"]) and np.isfinite(values["r_s"])
     assert calls == [None]
+    assert len(forms) == 1
     assert widths.count(config.n) == 1
 
 
@@ -148,6 +189,47 @@ def test_kappa_unified_shares_identity_jacobian(rng, monkeypatch):
     L = rng.standard_normal((6, 2))
     kappa_unified(prob, CondParams(L=L))  # an explicit L builds its own map
     assert len(calls) == 2 and calls[1] is not None
+
+
+def test_tls_flavours_share_identity_jacobian(rng, monkeypatch):
+    calls = []
+    original = ilscond.tls.tls_jacobian
+
+    def counted(tls, L=None):
+        calls.append(L)
+        return original(tls, L)
+
+    monkeypatch.setattr(ilscond.tls, "tls_jacobian", counted)
+    tls, _ = _toeplitz_tls(rng)
+    ConditionReport(tls).mixed
+    kappa_2tls(tls)
+    kappa_unified(tls, CondParams())
+    assert calls == [None]
+
+
+@given(SEEDS, st.floats(0.0, 4.0))
+def test_tls_left_orthogonal_invariance(seed, t):
+    # Q [A, b] keeps the singular values and x, so kappa_2tls(QA, Qb) equals
+    # kappa_2tls(A, b) up to rounding.  The generators come from a Cholesky
+    # factor of Mt = A^T A - sigma^2 I, so the tolerance is 100 n eps cond(Mt),
+    # about cond(A)^2 here; 100 n eps cond(A) fails at cond(A) = 1e3.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(n + 2, 20))
+    Q0, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (Q0 * np.logspace(0, -t, n)) @ W.T
+    b = A @ rng.standard_normal(n) + 1e-2 * 10.0**-t * rng.standard_normal(m)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    params = CondParams(psi=1.2, beta=0.8)
+    try:
+        tls = solve_tls(A, b)
+        before = kappa_2tls(tls, params)
+        after = kappa_2tls(solve_tls(Q @ A, Q @ b), params)
+    except TlsNotGeneric:
+        assume(False)
+    tol = 100 * n * np.finfo(float).eps * np.linalg.cond(tls.Mt)
+    assert rel_err(before, after) <= tol
 
 
 @given(SEEDS, WEIGHTS)

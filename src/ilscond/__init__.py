@@ -49,7 +49,6 @@ from .structured import (
 )
 from .tls import (
     ComposedBlocks,
-    StackedProblem,
     TlsNotGeneric,
     TlsProblem,
     kappa_2tls,
@@ -73,7 +72,6 @@ __all__ = [
     "NotPositiveDefinite",
     "SignatureSplit",
     "SsceConfig",
-    "StackedProblem",
     "StructureBasis",
     "StructureMismatch",
     "StructuredParams",

@@ -34,8 +34,21 @@ def _planted_xr(m, n, rho, rng):
     return x, r
 
 
-def _householder(u):
-    return np.eye(u.size) - 2.0 * np.outer(u, u)
+def _first_definite(draw):
+    """Call draw() until it builds a positive definite instance.
+
+    Gives up after MAX_GENERATION_ATTEMPTS draws with NotPositiveDefinite,
+    chained to the last failure.
+    """
+    last_exc = None
+    for _ in range(MAX_GENERATION_ATTEMPTS):
+        try:
+            return draw()
+        except NotPositiveDefinite as exc:
+            last_exc = exc
+    raise NotPositiveDefinite(
+        f"no positive definite instance in {MAX_GENERATION_ATTEMPTS} attempts"
+    ) from last_exc
 
 
 def gen_example1(m, n, p, l, rho, seed):
@@ -52,8 +65,8 @@ def gen_example1(m, n, p, l, rho, seed):
         raise ValueError("need n <= p < m")
     q = m - p
     rng = np.random.default_rng(seed)
-    last_exc = None
-    for _ in range(MAX_GENERATION_ATTEMPTS):
+
+    def draw():
         up = rng.standard_normal(p)
         up /= np.linalg.norm(up)
         uq = rng.standard_normal(q)
@@ -67,13 +80,9 @@ def gen_example1(m, n, p, l, rho, seed):
         A = T - 2.0 * np.outer(T @ v, v)
         x, r = _planted_xr(m, n, rho, rng)
         b = A @ x + r
-        try:
-            return IlsProblem(A, b, SignatureSplit(p, q)), x, r
-        except NotPositiveDefinite as exc:
-            last_exc = exc
-    raise NotPositiveDefinite(
-        f"no positive definite instance in {MAX_GENERATION_ATTEMPTS} attempts"
-    ) from last_exc
+        return IlsProblem(A, b, SignatureSplit(p, q)), x, r
+
+    return _first_definite(draw)
 
 
 def _orthonormal(rng, rows, cols):
@@ -97,8 +106,8 @@ def gen_example2(m, n, p, kappa, rho, seed):
         raise ValueError("need n >= 2")
     q = m - p
     rng = np.random.default_rng(seed)
-    last_exc = None
-    for _ in range(MAX_GENERATION_ATTEMPTS):
+
+    def draw():
         Q1 = _orthonormal(rng, p, n)
         Q2 = _orthonormal(rng, q, n)
         Uo = _orthonormal(rng, n, n)
@@ -107,13 +116,9 @@ def gen_example2(m, n, p, kappa, rho, seed):
         A = np.vstack([Q1 @ DU, 0.5 * (Q2 @ DU)])
         x, r = _planted_xr(m, n, rho, rng)
         b = A @ x + r
-        try:
-            return IlsProblem(A, b, SignatureSplit(p, q)), x, r
-        except NotPositiveDefinite as exc:
-            last_exc = exc
-    raise NotPositiveDefinite(
-        f"no positive definite instance in {MAX_GENERATION_ATTEMPTS} attempts"
-    ) from last_exc
+        return IlsProblem(A, b, SignatureSplit(p, q)), x, r
+
+    return _first_definite(draw)
 
 
 def gen_example3(n, rho, seed):
@@ -131,8 +136,8 @@ def gen_example3(n, rho, seed):
     basis_a = make_basis("stacked_scaled", m, n, base_kind="toeplitz", scale=0.5)
     basis_b = make_basis("full", m)
     sparams = StructuredParams(basis_a, basis_b)
-    last_exc = None
-    for _ in range(MAX_GENERATION_ATTEMPTS):
+
+    def draw():
         c = rng.standard_normal(n)
         row = rng.standard_normal(n)
         row[0] = c[0]
@@ -140,13 +145,9 @@ def gen_example3(n, rho, seed):
         A = np.vstack([B, 0.5 * B])
         x, r = _planted_xr(m, n, rho, rng)
         b = A @ x + r
-        try:
-            return IlsProblem(A, b, SignatureSplit(n, n)), sparams, x, r
-        except NotPositiveDefinite as exc:
-            last_exc = exc
-    raise NotPositiveDefinite(
-        f"no positive definite instance in {MAX_GENERATION_ATTEMPTS} attempts"
-    ) from last_exc
+        return IlsProblem(A, b, SignatureSplit(n, n)), sparams, x, r
+
+    return _first_definite(draw)
 
 
 @dataclass
@@ -293,13 +294,10 @@ class ExperimentResult:
     failures: dict = field(default_factory=dict)
     elapsed: float = 0.0
 
-    def cell_records(self, kappa_label, rho):
-        return [rec for rec in self.records
-                if rec.kappa_label == kappa_label and rec.rho == rho]
-
     def cell_stats(self, kappa_label, rho):
         """Mean, variance and max of every ratio in one grid cell."""
-        recs = self.cell_records(kappa_label, rho)
+        recs = [rec for rec in self.records
+                if rec.kappa_label == kappa_label and rec.rho == rho]
         stats = {}
         for name in RATIO_NAMES[self.config.example]:
             vals = np.array([rec.values[name] for rec in recs])

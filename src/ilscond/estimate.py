@@ -8,14 +8,13 @@ condition numbers.  All randomness flows from explicit seeds.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .exact import CondParams, componentwise_ratio, mixed_ratio, normwise_map
+from .exact import CondParams, componentwise_ratio, mixed_ratio, normwise_map, params_jacobian
 from .kron import unvec
 
 
@@ -264,20 +263,17 @@ def estimate_kappa2_pce(problem, params=None, delta=1e-2, epsilon=1e-3, seed=Non
     return est
 
 
-def _rowdots(P, v):
-    # row-wise P_i . v_i (or P_i . v): one BLAS dot each, bit-identical to a loop
-    return np.matmul(P[:, None, :], v[..., None])[:, 0, 0]
-
-
 def estimate_kappa2_ssce(problem, params=None, config=None):
     """Small-sample estimate of the 2-norm condition number (identity L only).
 
-    Draws k orthonormal directions, evaluates the per-direction condition
-    values, and combines them with approximated Wallis factors.
+    Draws k orthonormal directions Q, takes the per-direction condition
+    values as the squared row norms of Q^T S (S the factored form,
+    exact.normwise_map), and combines them with approximated Wallis
+    factors: (w_k / w_n) ||Q^T S||_F / xi.
     """
     params = params or CondParams()
     config = config or SsceConfig()
-    psi, beta, xi = params.scalars()
+    _, _, xi = params.scalars()
     if params.L is not None and not np.array_equal(
         np.asarray(params.L), np.eye(problem.n)
     ):
@@ -288,20 +284,9 @@ def estimate_kappa2_ssce(problem, params=None, config=None):
     rng = config.make_rng()
     Z = rng.standard_normal((n, config.k))
     Q, _ = np.linalg.qr(Z)
-    sol = problem.solution
-    x, r = sol.x, sol.r
-    rn2 = float(r @ r)
-    xn2 = float(x @ x)
-    Y = np.ascontiguousarray(problem.apply_minv(Q).T)  # one block solve, k x n
-    AY = np.matmul(problem.A, Y[:, :, None])[:, :, 0]
-    vals = psi**2 * rn2 * _rowdots(Y, Y) + (psi**2 * xn2 + beta**2) * _rowdots(AY, AY)
-    vals -= 2.0 * psi**2 * _rowdots(Y, x) * _rowdots(AY, r)
-    for _ in range(np.count_nonzero(vals < 0.0)):  # one warning per clamped direction
-        warnings.warn("per-direction condition value rounded below zero; clamping",
-                      RuntimeWarning, stacklevel=2)
-    kappas_sq = np.maximum(vals, 0.0) / xi**2
+    S = normwise_map(problem, params)
     factor = wallis(config.k, approx=True) / wallis(n, approx=True)
-    return float(factor * math.sqrt(np.sum(kappas_sq)))
+    return float(factor * np.linalg.norm(Q.T @ S) / xi)
 
 
 def estimate_kappa_inf_ssce(problem, params=None, config=None):
@@ -316,8 +301,7 @@ def estimate_kappa_inf_ssce(problem, params=None, config=None):
     config = config or SsceConfig()
     m, n = problem.m, problem.n
     t = m * (n + 1)
-    L = params.l_matrix(n)
-    jac = problem.jacobian(None if params.L is None else L)
+    jac = params_jacobian(problem, params)
     rng = config.make_rng()
     Z = rng.standard_normal((t, config.k))
     Q, _ = np.linalg.qr(Z)
@@ -328,5 +312,5 @@ def estimate_kappa_inf_ssce(problem, params=None, config=None):
         acc += u**2
     factor = wallis(config.k, approx=True) / wallis(t, approx=True)
     kappa_vec = factor * np.sqrt(acc)
-    ltx = np.atleast_1d(L.T @ problem.solution.x)
+    ltx = np.atleast_1d(params.l_matrix(n).T @ jac.x)
     return mixed_ratio(kappa_vec, ltx), componentwise_ratio(kappa_vec, ltx)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kron import ddagger, entrywise_div, unvec, vec
+from .kron import ddagger, entrywise_div, vec
 
 DENSE_ENTRY_GUARD = 50_000_000
 ROWSUM_BLOCK_ENTRIES = 1 << 16
@@ -150,20 +150,6 @@ class JacobianMg:
             raise ValueError("perturbation dimensions do not match the problem")
         return self.U.T @ (dA.T @ self.w) - self.V.T @ (dA @ self.x - db)
 
-    def apply_flat(self, z):
-        """Apply to a stacked [vec(dA); db] vector of length m n + m."""
-        z = np.asarray(z, dtype=float).ravel()
-        mn = self.m * self.n
-        if z.size != mn + self.m:
-            raise ValueError(f"operand length {z.size}, expected {mn + self.m}")
-        return self.apply(unvec(z[:mn], (self.m, self.n)), z[mn:])
-
-    def rmatvec(self, y):
-        """Transpose action: returns the length m n + m vector Mg^T y."""
-        y = np.asarray(y, dtype=float).ravel()
-        Ra = np.outer(self.w, self.U @ y) - np.outer(self.V @ y, self.x)
-        return np.concatenate([vec(Ra), self.V @ y])
-
     def dense(self):
         """Materialize the k x (m n + m) matrix (guarded against large sizes)."""
         if self._dense is None:
@@ -262,18 +248,30 @@ class JacobianMg:
 class SharedJacobian:
     """Problem mixin: ``jacobian(L)``, the first-order map of L^T x.
 
-    Subclasses build it in ``_build_jacobian(L)``; the L = I map (L omitted)
-    is built once, so every flavour with the default L shares it.
+    Subclasses build it in ``_build_jacobian(L)``.  Two maps are kept: the
+    L = I map (L omitted) and the map of the most recent explicit L, keyed
+    on L's shape and bytes, so every flavour with the same L shares one map
+    and an L changed in place gets a fresh one.
     """
 
     _identity_jacobian = None
+    _explicit_jacobian = (None, None)
 
     def jacobian(self, L=None):
-        if L is not None:
-            return self._build_jacobian(L)
-        if self._identity_jacobian is None:
-            self._identity_jacobian = self._build_jacobian(None)
-        return self._identity_jacobian
+        if L is None:
+            if self._identity_jacobian is None:
+                self._identity_jacobian = self._build_jacobian(None)
+            return self._identity_jacobian
+        L = np.asarray(L, dtype=float)
+        key = (L.shape, L.tobytes())
+        if self._explicit_jacobian[0] != key:
+            self._explicit_jacobian = (key, self._build_jacobian(L))
+        return self._explicit_jacobian[1]
+
+
+def params_jacobian(problem, params):
+    """``problem.jacobian`` for the L of params; the default L reads the identity-L map."""
+    return problem.jacobian(None if params.L is None else params.l_matrix(problem.n))
 
 
 def _segment_starts(basis):
@@ -298,13 +296,18 @@ def kappa_unified(problem, params, mu=2, nu=2):
     """Weighted condition number under the induced (mu, nu) operator norm.
 
     Supports (2, 2) through the k x k Gram matrix of the weighted map
-    (spectral norm) and (inf, inf) through the row-structured absolute-value
-    products; other norm pairs raise NotImplementedError before any work.
+    (spectral norm; S S^T of the factored form for scalar psi and beta,
+    weighted_gram for elementwise weights) and (inf, inf) through the
+    row-structured absolute-value products; other norm pairs raise
+    NotImplementedError before any work.
     """
     if (mu, nu) not in ((2, 2), (np.inf, np.inf)):
         raise NotImplementedError(f"induced ({mu}, {nu})-norm is not supported")
-    jac = problem.jacobian(None if params.L is None else params.l_matrix(problem.n))
+    jac = params_jacobian(problem, params)
     xi = params.xi_vector(jac.k)
+    if mu == 2 and np.isscalar(params.psi) and np.isscalar(params.beta):
+        F = ddagger(xi)[:, None] * jac.factored(params.psi, params.beta)
+        return _gram_norm(F @ F.T)
     Wa = params.psi_matrix(problem.m, problem.n)
     wb = params.beta_vector(problem.m)
     if mu == np.inf:
@@ -318,8 +321,7 @@ def normwise_map(problem, params):
     The default L reads the problem's one identity-L Jacobian.
     """
     psi, beta, _ = params.scalars()
-    jac = problem.jacobian(None if params.L is None else params.l_matrix(problem.n))
-    return jac.factored(psi, beta)
+    return params_jacobian(problem, params).factored(psi, beta)
 
 
 def kappa_2ils(problem, params=None):
@@ -388,17 +390,12 @@ class ConditionReport:
         self.sparams = sparams
 
     @cached_property
-    def L(self):
-        return self.params.l_matrix(self.problem.n)
-
-    @cached_property
     def jac(self):
-        # L = None lets the problem share its identity-L map with estimators
-        return self.problem.jacobian(None if self.params.L is None else self.L)
+        return params_jacobian(self.problem, self.params)
 
     @cached_property
     def ltx(self):
-        return np.atleast_1d(self.L.T @ self.jac.x)
+        return np.atleast_1d(self.params.l_matrix(self.problem.n).T @ self.jac.x)
 
     @cached_property
     def numerator(self):

@@ -198,7 +198,6 @@ class IlsProblem(SharedJacobian):
                 IllConditionedWarning,
                 stacklevel=2,
             )
-        self._solution = None
 
     @property
     def p(self):
@@ -219,11 +218,9 @@ class IlsProblem(SharedJacobian):
     def _build_jacobian(self, L):
         return JacobianMg.for_ils(self, L)
 
-    @property
+    @cached_property
     def solution(self):
-        if self._solution is None:
-            self._solution = solve_ils(self)
-        return self._solution
+        return solve_ils(self)
 
 
 def solve_ils(problem):

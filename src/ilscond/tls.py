@@ -6,16 +6,16 @@ smallest singular value of [A, b].  This module solves generic TLS
 instances, evaluates their partial condition numbers (unified, 2-norm,
 mixed, componentwise; the structured ones are fields of
 exact.ConditionReport on a TlsProblem), and provides the general composed
-first-order machinery for stacked problems whose lower blocks depend on
-the data.
+first-order machinery for a stacked IlsProblem on [A; B] whose lower
+blocks depend on the data.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import (CondParams, ConditionReport, JacobianMg, SharedJacobian,
-                    _induced_norm, kappa_2ils)
+from .exact import (CondParams, JacobianMg, SharedJacobian, _induced_norm, kappa_2ils,
+                    kappa_componentwise, kappa_mixed)
 from .ils import NotPositiveDefinite, SpdFactor, checked_data
 from .kron import ddagger, vec
 
@@ -94,18 +94,10 @@ def tls_jacobian(tls, L=None):
     return JacobianMg(tls.r, U, V, tls.x, tls.A, tls.b)
 
 
-# the 2-norm TLS condition number is kappa_2ils on the TLS Jacobian's factored form
+# each TLS flavour is the ILS function of the same norm, reading the TLS Jacobian
 kappa_2tls = kappa_2ils
-
-
-def kappa_mixed_tls(tls, params=None):
-    """Mixed TLS condition number through the row-structured products."""
-    return ConditionReport(tls, params).mixed
-
-
-def kappa_componentwise_tls(tls, params=None):
-    """Componentwise TLS condition number (0^ddagger on zero outputs)."""
-    return ConditionReport(tls, params).componentwise
+kappa_mixed_tls = kappa_mixed
+kappa_componentwise_tls = kappa_componentwise
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,50 +112,19 @@ class ComposedBlocks:
     M3: np.ndarray
     M4: np.ndarray
 
+    @staticmethod
+    def shapes(m, n, s):
+        """Shapes of (M1, M2, M3, M4) for m x n data and s stacked rows."""
+        return (s * n, m * n), (s * n, m), (s, m * n), (s, m)
+
     def validate(self, m, n, s):
-        if self.M1.shape != (s * n, m * n) or self.M2.shape != (s * n, m):
-            raise ValueError("M1/M2 dimensions do not conform")
-        if self.M3.shape != (s, m * n) or self.M4.shape != (s, m):
-            raise ValueError("M3/M4 dimensions do not conform")
+        got = (self.M1.shape, self.M2.shape, self.M3.shape, self.M4.shape)
+        if got != self.shapes(m, n, s):
+            raise ValueError(f"block shapes {got} do not conform to {self.shapes(m, n, s)}")
 
     @classmethod
     def zero(cls, m, n, s):
-        return cls(
-            np.zeros((s * n, m * n)),
-            np.zeros((s * n, m)),
-            np.zeros((s, m * n)),
-            np.zeros((s, m)),
-        )
-
-
-class StackedProblem:
-    """Indefinite problem on [A; B] with signature diag(I_m, -I_s).
-
-    Mt = A^T A - B^T B must be positive definite; the solution is
-    x = Mt^{-1}(A^T b - B^T d), with residuals r = b - A x and s = d - B x.
-    The stacked matrix and signature are never materialized.
-    """
-
-    def __init__(self, A, B, b, d):
-        A = checked_data("A", A, matrix=True)
-        B = checked_data("B", B, matrix=True)
-        b = checked_data("b", b, matrix=False)
-        d = checked_data("d", d, matrix=False)
-        if B.shape[1] != A.shape[1]:
-            raise ValueError("B must have the same column count as A")
-        if b.size != A.shape[0] or d.size != B.shape[0]:
-            raise ValueError("right-hand side lengths do not match")
-        self.factor = SpdFactor(A.T @ A - B.T @ B, "A^T A - B^T B")
-        self.A, self.B, self.b, self.d = A, B, b, d
-        self.m, self.n = A.shape
-        self.s = B.shape[0]
-        self.x = self.apply_minv(A.T @ b - B.T @ d)
-        self.r = b - A @ self.x
-        self.sres = d - B @ self.x
-
-    def apply_minv(self, V):
-        """Compute Mt^{-1} V with the certified factor."""
-        return self.factor.solve(V)
+        return cls(*map(np.zeros, cls.shapes(m, n, s)))
 
 
 def tls_blocks(t, tiny=1e-13):
@@ -192,34 +153,37 @@ def tls_blocks(t, tiny=1e-13):
 def composed_map(stacked, blocks):
     """Dense first-order map of L^T x for a stacked problem with dependent blocks.
 
-    Returns the k x (mn + m) matrix [N1 + N3 M1 + N4 M3, N2 + N3 M2 + N4 M4]
-    for L = I_n (premultiply by L^T for a projected map).
+    ``stacked`` is the IlsProblem on [A; B], [b; d] with signature split
+    (m, s).  The columns of its identity-L map that act on (A, b) give
+    N1, N2 and those acting on (B, d) give N3, N4; returns the k x (mn + m)
+    matrix [N1 + N3 M1 + N4 M3, N2 + N3 M2 + N4 M4] for L = I_n
+    (premultiply by L^T for a projected map).
     """
-    blocks.validate(stacked.m, stacked.n, stacked.s)
-    L = np.eye(stacked.n)
-    U = stacked.apply_minv(L)
-    jac_a = JacobianMg(stacked.r, U, stacked.A @ U, stacked.x, stacked.A, stacked.b)
-    jac_b = JacobianMg(stacked.sres, U, stacked.B @ U, stacked.x, stacked.B, stacked.d)
-    mn = stacked.m * stacked.n
-    dense_a = jac_a.dense()
-    N1, N2 = dense_a[:, :mn], dense_a[:, mn:]
-    dense_b = jac_b.dense()
-    N3 = -dense_b[:, : stacked.s * stacked.n]
-    N4 = -dense_b[:, stacked.s * stacked.n:]
+    m, s, n = stacked.p, stacked.q, stacked.n
+    blocks.validate(m, n, s)
+    full = stacked.jacobian().dense()
+    k = full.shape[0]
+    # vec is column-major: the column of entry (i, j) of [dA; dB] is [:, j, i]
+    dAB = full[:, : (m + s) * n].reshape(k, n, m + s)
+    N1 = dAB[:, :, :m].reshape(k, m * n)
+    N3 = dAB[:, :, m:].reshape(k, s * n)
+    dbd = full[:, (m + s) * n:]
+    N2, N4 = dbd[:, :m], dbd[:, m:]
     left = N1 + N3 @ blocks.M1 + N4 @ blocks.M3
     right = N2 + N3 @ blocks.M2 + N4 @ blocks.M4
     return np.hstack([left, right])
 
 
 def kappa_composed_ils(stacked, blocks, params=None, mu=2, nu=2):
-    """Condition number of the stacked problem with data-dependent blocks."""
+    """Condition number of the stacked problem with data-dependent blocks.
+
+    The weights psi and beta act on the data (A, b): p x n and length p.
+    """
     params = params or CondParams()
     L = params.l_matrix(stacked.n)
-    F = L.T @ composed_map(stacked, blocks)
     wcol = np.concatenate(
-        [vec(params.psi_matrix(stacked.m, stacked.n)), params.beta_vector(stacked.m)]
+        [vec(params.psi_matrix(stacked.p, stacked.n)), params.beta_vector(stacked.p)]
     )
-    F = F * wcol[None, :]
     xi = params.xi_vector(L.shape[1])
-    F = F * ddagger(xi)[:, None]
+    F = (L.T @ composed_map(stacked, blocks)) * wcol * ddagger(xi)[:, None]
     return _induced_norm(F, mu, nu)

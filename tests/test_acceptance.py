@@ -13,6 +13,7 @@ from ilscond import (
     CondParams,
     ConditionReport,
     IlsProblem,
+    SignatureSplit,
     StructuredParams,
     TlsNotGeneric,
     estimate_kappa2_pce,
@@ -34,7 +35,6 @@ from ilscond.bench import run_experiment, table1_config, table2_config, table3_c
 from ilscond.cli import main as cli_main
 from ilscond.exact import JacobianMg
 from ilscond.kron import entrywise_div, vec
-from ilscond.tls import StackedProblem
 
 from conftest import directional_derivative, random_ils
 
@@ -236,7 +236,8 @@ def test_criterion_7_tls_suite():
         _, _, Vt = np.linalg.svd(full)
         x_ref = -Vt[-1][:-1] / Vt[-1][-1]
         ok = ok and np.linalg.norm(tls.x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
-        stacked = StackedProblem(A, tls.sigma_tilde * np.eye(n), b, np.zeros(n))
+        stacked = IlsProblem(np.vstack([A, tls.sigma_tilde * np.eye(n)]),
+                             np.concatenate([b, np.zeros(n)]), SignatureSplit(m, n))
         a = kappa_2tls(tls)
         c = kappa_composed_ils(stacked, tls_blocks(tls))
         ok = ok and _rel(a, c) <= 1e-9

@@ -11,12 +11,14 @@ from ilscond import (
     estimate_kappa2_ssce,
     estimate_kappa_inf_ssce,
     kappa_2ils,
+    kappa_2tls,
     kappa_componentwise,
     kappa_mixed,
+    solve_tls,
     spectral_interval,
     wallis,
 )
-from ilscond.exact import JacobianMg
+from ilscond.exact import JacobianMg, normwise_map
 
 from conftest import random_ils
 
@@ -133,6 +135,16 @@ class TestSsce2:
         # with the complete basis the estimate dominates the spectral value
         assert est >= exact * (1 - 1e-10)
 
+    def test_tls_full_basis_is_frobenius_norm(self, rng):
+        # with k = n the Wallis ratio is 1 and ||Q^T S||_F = ||S||_F >= ||S||_2
+        A = rng.standard_normal((12, 4))
+        tls = solve_tls(A, A @ rng.standard_normal(4) + 0.3 * rng.standard_normal(12))
+        params = CondParams(psi=1.2, beta=0.8, xi=1.5)
+        est = estimate_kappa2_ssce(tls, params, SsceConfig(k=tls.n, seed=3))
+        frob = np.linalg.norm(normwise_map(tls, params)) / 1.5
+        assert est == pytest.approx(frob, rel=1e-13)
+        assert est >= kappa_2tls(tls, params) * (1 - 1e-12)
+
     def test_requires_identity_l(self, rng):
         prob = random_ils(rng, m=10, n=4)
         with pytest.raises(ValueError):
@@ -197,6 +209,15 @@ class TestSsceInf:
         # estimates stay within sqrt(t) of the infinity-norm values
         exact = kappa_mixed(prob)
         assert exact / math.sqrt(t) <= mixed <= exact * math.sqrt(t)
+
+    def test_tls_full_basis_row_norms(self, rng):
+        A = rng.standard_normal((5, 2))
+        tls = solve_tls(A, A @ rng.standard_normal(2) + 0.3 * rng.standard_normal(5))
+        t = tls.m * (tls.n + 1)
+        mixed, comp = estimate_kappa_inf_ssce(tls, CondParams(), SsceConfig(k=t, seed=9))
+        rownorms = np.linalg.norm(tls.jacobian().dense(), axis=1)
+        assert mixed == pytest.approx(rownorms.max() / np.abs(tls.x).max(), rel=1e-10)
+        assert comp == pytest.approx(np.max(rownorms / np.abs(tls.x)), rel=1e-10)
 
     def test_deterministic_given_seed(self, rng):
         prob = random_ils(rng, m=10, n=4)

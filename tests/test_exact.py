@@ -77,15 +77,6 @@ class TestBuildMg:
             np.testing.assert_allclose(Ra, -np.outer(np.eye(n)[i], x), atol=1e-14)
             np.testing.assert_allclose(rb, np.eye(n)[i], atol=1e-14)
 
-    def test_transpose_action_consistent(self, rng):
-        prob = random_ils(rng, m=9, n=4)
-        jac = JacobianMg.for_ils(prob)
-        dense = jac.dense()
-        y = rng.standard_normal(jac.k)
-        np.testing.assert_allclose(jac.rmatvec(y), dense.T @ y, rtol=1e-13)
-        z = rng.standard_normal(dense.shape[1])
-        np.testing.assert_allclose(jac.apply_flat(z), dense @ z, rtol=1e-12, atol=1e-13)
-
     def test_dense_memory_guard(self, rng, monkeypatch):
         prob = random_ils(rng, m=10, n=4)
         monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)

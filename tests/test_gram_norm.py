@@ -1,6 +1,9 @@
 """Every spectral norm from one k x k Gram reduction, one factored form S per
-Jacobian, and one identity-L map per problem shared by the 2-norm path, the
-unified form and the estimators."""
+Jacobian, and one map per (problem, L) shared by the 2-norm path, the
+unified form, the report and the estimators."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,16 +18,24 @@ from ilscond import (
     IlsProblem,
     NotPositiveDefinite,
     SignatureSplit,
+    SsceConfig,
     TlsNotGeneric,
+    TlsProblem,
+    estimate_kappa2_pce,
+    estimate_kappa_inf_ssce,
     kappa_2ils,
     kappa_2tls,
+    kappa_componentwise,
     kappa_lls_svd_check,
+    kappa_mixed,
+    kappa_mixed_tls,
     kappa_unified,
     solve_tls,
 )
 from ilscond.bench import _run_trial, gen_example1, gen_example3, table1_config
-from ilscond.exact import JacobianMg, normwise_map
+from ilscond.exact import JacobianMg, normwise_map, params_jacobian
 from ilscond.ils import SpdFactor
+from ilscond.kron import ddagger
 
 from conftest import random_ils
 from test_report import _toeplitz_tls
@@ -205,6 +216,87 @@ def test_tls_flavours_share_identity_jacobian(rng, monkeypatch):
     kappa_2tls(tls)
     kappa_unified(tls, CondParams())
     assert calls == [None]
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; returns the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_explicit_l_report_sequence_builds_one_map_per_problem(rng, monkeypatch):
+    # the library-caller sequence of one partial report: every ILS flavour and
+    # estimator shares one map for the explicit L, and both TLS flavours another
+    ils_builds = _count_for_ils(monkeypatch)
+    tls_builds = _counted(monkeypatch, ilscond.tls, "tls_jacobian")
+    prob, _, _ = gen_example1(40, 20, 26, 2, 1.0, rng)
+    tls = TlsProblem(prob.A, prob.b)
+    L, _ = np.linalg.qr(rng.standard_normal((20, 4)))
+    params = CondParams(L=L)
+    kappa_2ils(prob, params)
+    kappa_mixed(prob, params)
+    kappa_componentwise(prob, params)
+    kappa_unified(prob, params, 2, 2)
+    kappa_unified(prob, params, np.inf, np.inf)
+    estimate_kappa2_pce(prob, params, seed=1)
+    estimate_kappa_inf_ssce(prob, params, SsceConfig(k=3, seed=2))
+    kappa_2tls(tls, params)
+    kappa_mixed_tls(tls, params)
+    assert (len(ils_builds), len(tls_builds)) == (1, 1)
+
+
+@pytest.mark.parametrize("kind", ["ils", "tls"])
+def test_scalar_weight_unified_reads_factored_form(kind, rng, monkeypatch):
+    grams = _counted(monkeypatch, JacobianMg, "weighted_gram")
+    prob = random_ils(rng, m=16, n=6) if kind == "ils" else _toeplitz_tls(rng)[0]
+    for params in (CondParams(), CondParams(L=rng.standard_normal((prob.n, 3)), psi=1.3,
+                                            beta=0.7, xi=np.array([2.0, 0.0, 0.5]))):
+        got = kappa_unified(prob, params, 2, 2)
+        jac = params_jacobian(prob, params)
+        Wa, wb = params.psi_matrix(prob.m, prob.n), params.beta_vector(prob.m)
+        G = jac.weighted_gram(Wa, wb, ddagger(params.xi_vector(jac.k)))
+        expected = np.sqrt(np.linalg.eigvalsh(G)[-1])
+        assert rel_err(got, expected) <= 1e-12
+    assert len(grams) == 2  # the two reference values above, none from kappa_unified
+    kappa_unified(prob, CondParams(psi=np.full((prob.m, prob.n), 1.3)), 2, 2)
+    assert len(grams) == 3  # elementwise weights keep the weighted Gram route
+
+
+def test_jacobian_cache_holds_two_maps(rng):
+    prob = random_ils(rng, m=16, n=6)
+    identity = prob.jacobian()
+    L1, L2 = rng.standard_normal((6, 2)), rng.standard_normal((6, 3))
+    first = prob.jacobian(L1)
+    assert prob.jacobian(L1.copy()) is first  # keyed on the values, not the array
+    first = weakref.ref(first)
+    second = prob.jacobian(L2)
+    gc.collect()
+    assert first() is None  # the previous explicit-L map was dropped
+    assert prob.jacobian(L2) is second
+    assert prob.jacobian() is identity
+
+
+@pytest.mark.parametrize("kind", ["ils", "tls"])
+def test_l_changed_in_place_gets_a_fresh_map(kind, rng):
+    prob = random_ils(rng, m=16, n=6) if kind == "ils" else _toeplitz_tls(rng)[0]
+    L = rng.standard_normal((prob.n, 2))
+    params = CondParams(L=L)
+    before = kappa_2ils(prob, params)
+    L[:, 0] *= 3.0
+    after = kappa_2ils(prob, params)
+    if kind == "ils":
+        fresh = IlsProblem(prob.A, prob.b, prob.split)
+    else:
+        fresh = TlsProblem(prob.A, prob.b)
+    assert after == kappa_2ils(fresh, CondParams(L=L.copy()))
+    assert rel_err(after, before) > 1e-3
 
 
 @given(SEEDS, st.floats(0.0, 4.0))

@@ -25,7 +25,6 @@ from ilscond import (
 from ilscond.bench import _run_trial, gen_example2, gen_example3, table2_config
 from ilscond.exact import JacobianMg
 from ilscond.structured import StructureBasis
-from ilscond.tls import StackedProblem
 
 
 def _with_weights(sparams, rng):
@@ -146,7 +145,8 @@ def test_apply_minv_row_count_checked_alike(rng):
     problems = [
         IlsProblem(A, b, SignatureSplit(9, 0)),
         TlsProblem(A, b),
-        StackedProblem(A, 0.1 * np.eye(3), b, np.zeros(3)),
+        IlsProblem(np.vstack([A, 0.1 * np.eye(3)]), np.concatenate([b, np.zeros(3)]),
+                   SignatureSplit(9, 3)),
     ]
     messages = []
     for problem in problems:

@@ -20,7 +20,7 @@ from ilscond import (
     tls_jacobian,
 )
 from ilscond.kron import entrywise_div, vec
-from ilscond.tls import ComposedBlocks, StackedProblem
+from ilscond.tls import ComposedBlocks
 
 from conftest import dense_vec_perm
 
@@ -41,6 +41,12 @@ def random_tls(rng, m=10, n=3, noise=0.3):
     x = rng.standard_normal(n)
     b = A @ x + noise * rng.standard_normal(m)
     return A, b
+
+
+def stacked_ils(A, B, b, d):
+    """The indefinite problem on [A; B], [b; d] with signature diag(I_m, -I_s)."""
+    return IlsProblem(np.vstack([A, B]), np.concatenate([b, d]),
+                      SignatureSplit(len(A), len(B)))
 
 
 def dense_tls_map(tls, L=None):
@@ -83,7 +89,7 @@ class TestSolveTls:
 
 
 class TestBoundaryValidation:
-    """TlsProblem and StackedProblem reject bad data by argument name."""
+    """TlsProblem and the stacked IlsProblem reject bad data by argument name."""
 
     def test_nan_in_a_rejected(self, rng):
         A, b = random_tls(rng)
@@ -98,13 +104,13 @@ class TestBoundaryValidation:
 
     def test_stacked_complex_lower_block_rejected(self, rng):
         A, b = random_tls(rng, m=9, n=3)
-        with pytest.raises(ValueError, match="B must be real"):
-            StackedProblem(A, 0.1j * np.eye(3), b, np.zeros(3))
+        with pytest.raises(ValueError, match="A must be real"):
+            stacked_ils(A, 0.1j * np.eye(3), b, np.zeros(3))
 
     def test_stacked_inf_in_d_rejected(self, rng):
         A, b = random_tls(rng, m=9, n=3)
-        with pytest.raises(ValueError, match="d has non-finite entries"):
-            StackedProblem(A, 0.1 * np.eye(3), b, np.array([0.0, np.inf, 0.0]))
+        with pytest.raises(ValueError, match="b has non-finite entries"):
+            stacked_ils(A, 0.1 * np.eye(3), b, np.array([0.0, np.inf, 0.0]))
 
 
 class TestKappa2Tls:
@@ -112,11 +118,10 @@ class TestKappa2Tls:
         for _ in range(10):
             A, b = random_tls(rng, m=9, n=3)
             tls = solve_tls(A, b)
-            stacked = StackedProblem(
-                A, tls.sigma_tilde * np.eye(3), b, np.zeros(3)
-            )
-            np.testing.assert_allclose(stacked.x, tls.x, rtol=1e-10)
-            np.testing.assert_allclose(stacked.sres, -tls.sigma_tilde * tls.x,
+            stacked = stacked_ils(A, tls.sigma_tilde * np.eye(3), b, np.zeros(3))
+            sol = stacked.solution
+            np.testing.assert_allclose(sol.x, tls.x, rtol=1e-10)
+            np.testing.assert_allclose(sol.r[9:], -tls.sigma_tilde * tls.x,
                                        rtol=1e-9, atol=1e-12)
             params = CondParams(psi=1.1, beta=0.9, xi=1.3)
             a = kappa_2tls(tls, params)
@@ -212,17 +217,14 @@ class TestComposed:
         B = 0.4 * rng.standard_normal((2, 3))
         b = rng.standard_normal(8)
         d = rng.standard_normal(2)
-        stacked = StackedProblem(A, B, b, d)
+        stacked = stacked_ils(A, B, b, d)
         blocks = ComposedBlocks.zero(8, 3, 2)
         params = CondParams()
         got = kappa_composed_ils(stacked, blocks, params, 2, 2)
 
-        full_prob = IlsProblem(np.vstack([A, B]), np.concatenate([b, d]),
-                               SignatureSplit(8, 2))
         from ilscond.exact import JacobianMg
 
-        jac = JacobianMg.for_ils(full_prob)
-        full_map = jac.dense()
+        full_map = JacobianMg.for_ils(stacked).dense()
         # columns of the stacked map touching (dA, db) only
         m, n, s = 8, 3, 2
         keep_a = [j * (m + s) + i for j in range(n) for i in range(m)]
@@ -233,7 +235,7 @@ class TestComposed:
     def test_empty_stack_is_least_squares(self, rng):
         A = rng.standard_normal((9, 4))
         b = rng.standard_normal(9)
-        stacked = StackedProblem(A, np.zeros((0, 4)), b, np.zeros(0))
+        stacked = stacked_ils(A, np.zeros((0, 4)), b, np.zeros(0))
         blocks = ComposedBlocks.zero(9, 4, 0)
         prob = IlsProblem(A, b, SignatureSplit(9, 0))
         params = CondParams()
@@ -268,7 +270,7 @@ class TestComposed:
     def test_block_shapes_validated(self, rng):
         A = rng.standard_normal((8, 3))
         b = rng.standard_normal(8)
-        stacked = StackedProblem(A, 0.3 * np.eye(3), b, np.zeros(3))
+        stacked = stacked_ils(A, 0.3 * np.eye(3), b, np.zeros(3))
         bad = ComposedBlocks.zero(8, 3, 2)
         with pytest.raises(ValueError):
             kappa_composed_ils(stacked, bad)

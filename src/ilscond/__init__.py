@@ -31,6 +31,7 @@ from .ils import (
     IlsProblem,
     IlsSolution,
     NotPositiveDefinite,
+    NumericallySingular,
     SignatureSplit,
     check_spd,
     solve_ils,
@@ -70,6 +71,7 @@ __all__ = [
     "JacobianMg",
     "NormInterval",
     "NotPositiveDefinite",
+    "NumericallySingular",
     "SignatureSplit",
     "SsceConfig",
     "StructureBasis",

@@ -228,6 +228,11 @@ class JacobianMg:
             out[i:i + h] += r.sum(axis=(1, 2))
         return out
 
+    @cached_property
+    def data_numerator(self):
+        """|Mg| |[vec(A); b]|, the numerator of the mixed and componentwise values."""
+        return self.abs_weighted_rowsums(np.abs(self.A), np.abs(self.b))
+
     def structured_cols(self, basis_a, basis_b):
         """Signed products Mg * blkdiag(Phi_A, Phi_B) as (k x k1, k x k2) blocks.
 
@@ -377,8 +382,9 @@ class ConditionReport:
     Every field is a norm of the same first-order map Mg of L^T x, so the
     pieces the fields share are computed on first use and kept: the
     Jacobian (``problem.jacobian(L)``, which IlsProblem and TlsProblem both
-    provide), L^T x, the numerator |Mg| |[vec(A); b]|, the structure
-    parameters (s1, s2) of the data and the structured columns Mg Phi.
+    provide), L^T x, the structure parameters (s1, s2) of the data and the
+    structured columns Mg Phi.  The numerator |Mg| |[vec(A); b]| is kept
+    on the Jacobian itself, so every report on one problem and L shares it.
     Reading every field builds each piece once.  The structured fields need
     ``sparams`` (a StructuredParams); structured_2 needs scalar weights and
     structured_general explicit varphi and theta.
@@ -397,10 +403,10 @@ class ConditionReport:
     def ltx(self):
         return np.atleast_1d(self.params.l_matrix(self.problem.n).T @ self.jac.x)
 
-    @cached_property
+    @property
     def numerator(self):
-        """|Mg| |[vec(A); b]|, the shared numerator of mixed and componentwise."""
-        return self.jac.abs_weighted_rowsums(np.abs(self.jac.A), np.abs(self.jac.b))
+        """|Mg| |[vec(A); b]|, kept by the Jacobian that every report on it shares."""
+        return self.jac.data_numerator
 
     @cached_property
     def extracted(self):

@@ -2,7 +2,10 @@
 
 An instance minimizes (b - Ax)^T J (b - Ax) with J = diag(I_p, -I_q).  It has
 a unique solution x = M^{-1} A^T J b exactly when M = A^T J A is positive
-definite; construction certifies this with an SpdFactor, the one Cholesky
+definite.  Construction certifies this without forming M: A = QR by
+Householder QR, and C = Q^T J Q = R^{-T} M R^{-1} is certified by Cholesky,
+C = G G^T, so M = F^T F with F = G^T R upper triangular.  Errors then grow
+with cond(A), not cond(A)^2.  The result is an SpdFactor, the one Cholesky
 factor type of the package, which every subsequent M^{-1} application reuses.
 """
 
@@ -12,7 +15,8 @@ from functools import cached_property
 from numbers import Integral
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dgeqrf, dormqr, dpotrs, dtrtrs
 
 from .exact import JacobianMg, SharedJacobian
 
@@ -21,8 +25,19 @@ class NotPositiveDefinite(np.linalg.LinAlgError):
     """A^T J A is not positive definite: the ILS problem has no unique solution."""
 
 
+class NumericallySingular(NotPositiveDefinite):
+    """A^T J A = F^T F is singular to working precision: cond(F) >= 1/(max(m, n) eps).
+
+    The spectra of the instance generators are fixed by construction, so a
+    fresh draw cannot cure this and the generators do not retry it.
+    """
+
+
 class IllConditionedWarning(UserWarning):
-    """A^T J A is numerically close to singular; results may lose accuracy."""
+    """eps * cond(F) > 1e-3 for A^T J A = F^T F; results may lose accuracy."""
+
+
+EPS = np.finfo(float).eps
 
 
 def checked_data(name, value, matrix):
@@ -82,30 +97,60 @@ class SignatureSplit:
 
 
 class SpdFactor:
-    """Certified Cholesky factor of a symmetric positive definite matrix.
+    """Certified Cholesky factor M = chol chol^T of a symmetric positive definite matrix.
 
-    M is symmetrized before factoring, so ``M`` holds exactly the matrix that
-    was certified.  A breakdown raises NotPositiveDefinite naming the matrix;
-    with diagnose=True the message carries its smallest eigenvalue.  The
-    reciprocal 2-norm condition ``rcond`` is computed on first use.
+    The constructor symmetrizes M and certifies it by Cholesky, so ``M``
+    holds exactly the matrix that was certified.  A breakdown raises
+    NotPositiveDefinite naming the matrix; with diagnose=True the message
+    carries its smallest eigenvalue.  ``from_triangular`` wraps a factor the
+    caller has already certified and forms M only when asked.  The
+    factor's condition ``cond`` and the reciprocal 2-norm condition of M,
+    ``rcond``, come from one values-only SVD on first use.
     """
 
     def __init__(self, M, name, diagnose=False):
         M = 0.5 * (M + M.T)
         try:
-            self.chol = np.linalg.cholesky(M)
+            chol = np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
             msg = f"{name} is not positive definite; the problem has no unique solution"
             if diagnose:
                 msg += f" (smallest eigenvalue {float(np.linalg.eigvalsh(M)[0]):.3e})"
             raise NotPositiveDefinite(msg) from exc
+        self._set_chol(chol)
         self.M = M
-        self.n = M.shape[0]
+
+    @classmethod
+    def from_triangular(cls, F, form_m):
+        """The factor of M = F^T F for an upper-triangular F; form_m() builds M on first use."""
+        factor = cls.__new__(cls)
+        factor._set_chol(F.T)
+        factor._form_m = form_m
+        return factor
+
+    def _set_chol(self, chol):
+        # the column-major lower factor is what LAPACK potrs reads without a copy
+        self.chol = np.asfortranarray(chol)
+        self.n = chol.shape[0]
 
     @cached_property
+    def M(self):
+        return self._form_m()
+
+    @cached_property
+    def _singular_values(self):
+        return np.linalg.svd(self.chol, compute_uv=False)
+
+    @property
+    def cond(self):
+        """2-norm condition of the triangular factor; cond(M) is its square."""
+        sv = self._singular_values
+        return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+
+    @property
     def rcond(self):
         # cond(M) = cond(chol)^2; cheap to read off the factor's singular values
-        sv = np.linalg.svd(self.chol, compute_uv=False)
+        sv = self._singular_values
         return float((sv[-1] / sv[0]) ** 2) if sv[0] > 0 else 0.0
 
     def solve(self, V):
@@ -118,27 +163,58 @@ class SpdFactor:
             raise ValueError(f"operand has {V.shape[0]} rows, expected {self.n}")
         if V.shape[1] == 0:
             return V.copy()
-        out = scipy.linalg.cho_solve((self.chol, True), V)
+        out, _ = dpotrs(self.chol, V, lower=1)
         return out[:, 0] if single else out
 
 
 def check_spd(A, split, diagnose=False):
-    """Form M = A^T J A and certify positive definiteness; returns its SpdFactor.
+    """Certify that M = A^T J A is positive definite; returns its SpdFactor.
 
-    M is assembled as Ap^T Ap - Aq^T Aq from the signed row blocks.  Raises
-    NotPositiveDefinite on breakdown; with diagnose=True the error carries the
-    smallest eigenvalue of M for debugging near-singular cases.
+    The factor comes from A's QR factorization (see the module docstring);
+    its ``M`` is A^T J A formed explicitly from the signed row blocks,
+    Ap^T Ap - Aq^T Aq, on first use.  Raises NotPositiveDefinite when the
+    certificate fails (with diagnose=True the message carries the smallest
+    eigenvalue of Q^T J Q) and NumericallySingular when M is singular to
+    working precision.
     """
-    return _normal_factor(checked_data("A", A, matrix=True), split, diagnose)
+    return _normal_factor(checked_data("A", A, matrix=True), split, diagnose)[0]
+
+
+def _signed_gram(A, split):
+    Ap = A[: split.p]
+    Aq = A[split.p:]
+    M = Ap.T @ Ap - Aq.T @ Aq
+    return 0.5 * (M + M.T)
 
 
 def _normal_factor(A, split, diagnose):
-    # check_spd on an A that checked_data has already validated
-    if split.m != A.shape[0]:
-        raise ValueError(f"signature split p+q={split.m} does not match m={A.shape[0]}")
-    Ap = A[: split.p]
-    Aq = A[split.p:]
-    return SpdFactor(Ap.T @ Ap - Aq.T @ Aq, "A^T J A", diagnose=diagnose)
+    # check_spd on an A that checked_data has already validated; also returns
+    # the QR pieces (qr, tau, G) from which IlsProblem forms its right-hand side
+    m, n = A.shape
+    if split.m != m:
+        raise ValueError(f"signature split p+q={split.m} does not match m={m}")
+    if m < n:
+        raise NumericallySingular(f"A has {m} rows and {n} columns, so A^T J A is singular")
+    bound = 1.0 / (max(m, n) * EPS)
+    # R is the upper triangle of qr's leading n rows; LAPACK reads no further
+    qr, tau, _, _ = dgeqrf(A)
+    QqT, info = dtrtrs(qr, A[split.p:].T, lower=0, trans=1, lda=m)
+    if info > 0:
+        raise NumericallySingular(_singular_message(np.inf, bound))
+    C = -2.0 * (QqT @ QqT.T)
+    C.flat[:: n + 1] += 1.0
+    G = SpdFactor(C, "Q^T J Q (A = QR, congruent to A^T J A)", diagnose).chol
+    factor = SpdFactor.from_triangular(dtrmm(1.0, qr, G.T, side=1),
+                                       lambda: _signed_gram(A, split))
+    if factor.cond >= bound:
+        raise NumericallySingular(_singular_message(factor.cond, bound))
+    return factor, (qr, tau, G)
+
+
+def _singular_message(cond, bound):
+    return (f"A^T J A = F^T F is numerically singular: cond(F) = {cond:.2e} is at or "
+            f"above 1/(max(m, n) eps) = {bound:.2e}; no solve in double precision "
+            "can resolve it")
 
 
 @dataclass(frozen=True)
@@ -150,7 +226,7 @@ class IlsSolution:
 
 
 class IlsProblem(SharedJacobian):
-    """An indefinite least squares instance with cached normal matrix.
+    """An indefinite least squares instance with a certified factor of A^T J A.
 
     Parameters
     ----------
@@ -159,14 +235,16 @@ class IlsProblem(SharedJacobian):
     split : SignatureSplit
         Counts (p, q) of +1 and -1 signature entries; p + q = m.
     diagnose : bool
-        Report the smallest eigenvalue of A^T J A when definiteness fails.
+        Report the smallest eigenvalue of Q^T J Q when definiteness fails.
 
-    Raises ValueError for complex or non-finite data and NotPositiveDefinite
-    when A^T J A has no Cholesky factorization.  When the factorization
-    succeeds but M is close to singular (reciprocal condition below
-    1e3 * machine epsilon) an IllConditionedWarning is issued and
-    ``ill_conditioned`` is set; computation proceeds, since problems near the
-    definiteness boundary are exactly the interesting regime.
+    Raises ValueError for complex or non-finite data, NotPositiveDefinite
+    when A^T J A is not positive definite, and its subclass
+    NumericallySingular when A^T J A = F^T F has cond(F) >= 1/(max(m, n)
+    eps).  Below that bound, when eps * cond(F) > 1e-3, an
+    IllConditionedWarning is issued and ``ill_conditioned`` is set;
+    computation proceeds, since problems near the definiteness boundary are
+    exactly the interesting regime.  ``M`` (A^T J A itself) is formed only
+    when read.
     """
 
     def __init__(self, A, b, split, diagnose=False):
@@ -187,17 +265,25 @@ class IlsProblem(SharedJacobian):
         self.split = split
         self.m = m
         self.n = n
-        self.factor = _normal_factor(A, split, diagnose)
-        self.M = self.factor.M
-        rcond = self.factor.rcond
-        self.ill_conditioned = rcond < 1e3 * np.finfo(float).eps
+        self.factor, (qr, tau, G) = _normal_factor(A, split, diagnose)
+        # solve_ils needs only F and G^{-1} (Q^T J b)[:n], so the packed QR
+        # is not kept; Q^T is applied by its reflectors, never formed
+        qjb, _, _ = dormqr("L", "T", qr, tau, split.apply(b)[:, None], 1)
+        self._gqjb, _ = dtrtrs(G, qjb[:n], lower=1)
+        cond = self.factor.cond
+        self.ill_conditioned = EPS * cond > 1e-3
         if self.ill_conditioned:
             warnings.warn(
-                f"A^T J A is nearly singular (rcond ~ {rcond:.2e}); "
+                f"A^T J A = F^T F is nearly singular (cond(F) ~ {cond:.2e}); "
                 "condition numbers remain computable but lose accuracy",
                 IllConditionedWarning,
                 stacklevel=2,
             )
+
+    @property
+    def M(self):
+        """A^T J A, formed explicitly on first read (no computation needs it)."""
+        return self.factor.M
 
     @property
     def p(self):
@@ -224,8 +310,13 @@ class IlsProblem(SharedJacobian):
 
 
 def solve_ils(problem):
-    """Solve M x = A^T J b with the cached Cholesky factor; r = b - A x."""
-    rhs = problem.A.T @ problem.j_apply(problem.b)
-    x = problem.apply_minv(rhs)
+    """Solve M x = A^T J b as x = F^{-1} G^{-1} (Q^T J b)[:n]; r = b - A x.
+
+    That is x = R^{-1} C^{-1} (Q^T J b)[:n].  Going through A^T J b and the
+    factor of M instead (the seminormal equations) would cost an error of
+    order eps cond(A)^2 ||b|| / (||A|| ||x||).
+    """
+    x, _ = dtrtrs(problem.factor.chol, problem._gqjb, lower=1, trans=1)
+    x = x[:, 0]
     r = problem.b - problem.A @ x
     return IlsSolution(x=x, r=r)

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from ilscond import load_problem, save_problem
+from ilscond import NotPositiveDefinite, NumericallySingular, load_problem, save_problem
+from ilscond import bench
 from ilscond.bench import (
+    MAX_GENERATION_ATTEMPTS,
     ExperimentConfig,
     gen_example1,
     gen_example2,
@@ -66,6 +68,64 @@ class TestGenerators:
     def test_example3_planted_residual(self, rng):
         prob, _, x, r = gen_example3(6, 2.5, rng)
         assert np.linalg.norm(prob.b - prob.A @ x) == pytest.approx(2.5, rel=1e-12)
+
+
+class TestGenerationAttempts:
+    """Numerically singular draws are not retried; the published full-size cells certify."""
+
+    def _count_draws(self, monkeypatch):
+        draws = []
+        original = bench.IlsProblem
+
+        def counted(*args, **kwargs):
+            draws.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "IlsProblem", counted)
+        return draws
+
+    @pytest.mark.parametrize("exc, attempts", [
+        (NumericallySingular("singular"), 1),
+        (NotPositiveDefinite("indefinite"), MAX_GENERATION_ATTEMPTS),
+    ])
+    def test_first_definite_retries_only_indefinite_draws(self, exc, attempts):
+        calls = []
+
+        def draw():
+            calls.append(1)
+            raise exc
+
+        with pytest.raises(type(exc)):
+            bench._first_definite(draw)
+        assert len(calls) == attempts
+
+    def test_full_table1_n9_excluded_after_one_draw(self, monkeypatch):
+        # cond(A) = 120^9 ~ 5e18 lies beyond 1/(max(m, n) eps) ~ 2e13
+        draws = self._count_draws(monkeypatch)
+        with pytest.raises(NumericallySingular, match=r"1/\(max\(m, n\) eps\)"):
+            gen_example1(200, 120, 140, 9, 1.0, 0)
+        assert len(draws) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_table1_n6_certifies_first_draw(self, seed, monkeypatch):
+        draws = self._count_draws(monkeypatch)
+        gen_example1(200, 120, 140, 6, 1.0, seed)
+        assert len(draws) == 1
+
+    @pytest.mark.parametrize("kappa", [1e10, 1e12])
+    def test_full_table2_top_cells_certify_first_draw(self, kappa, monkeypatch):
+        draws = self._count_draws(monkeypatch)
+        for seed in range(5):
+            gen_example2(120, 50, 70, kappa, 1.0, seed)
+        assert len(draws) == 5
+
+    def test_table_names_the_exclusion(self):
+        result = run_experiment(table1_config(m=20, n=8, p=12, kappa_grid=(1, 18),
+                                              rho_grid=(1.0,), trials=2))
+        assert result.failures == {(18, 1.0): 2}
+        assert len(result.records) == 2
+        assert "excluded trials (not definite or numerically singular): 2" in \
+            result.format_table()
 
 
 class TestProblemFile:

@@ -1,14 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from ilscond import (
+    IllConditionedWarning,
     IlsProblem,
     NotPositiveDefinite,
+    NumericallySingular,
     SignatureSplit,
     check_spd,
+    kappa_2ils,
     solve_ils,
 )
+from ilscond import ils
+from ilscond.bench import gen_example2
+from ilscond.ils import SpdFactor
 
 from conftest import directional_derivative, random_ils
 
@@ -71,6 +79,66 @@ class TestCheckSpd:
     def test_split_mismatch(self):
         with pytest.raises(ValueError):
             check_spd(np.eye(3), SignatureSplit(2, 2))
+
+
+class TestQrCertificate:
+    """A^T J A = F^T F certified from A = QR, with M formed only when read."""
+
+    def test_factor_reproduces_normal_matrix(self, rng):
+        for _ in range(10):
+            prob = random_ils(rng)
+            F = prob.factor.chol.T
+            np.testing.assert_array_equal(F, np.triu(F))
+            M = prob.M
+            np.testing.assert_allclose(F.T @ F, M, rtol=0, atol=1e-13 * np.abs(M).max())
+
+    def test_normal_matrix_formed_only_when_read(self, rng, monkeypatch):
+        calls = []
+        original = ils._signed_gram
+
+        def counted(A, split):
+            calls.append(1)
+            return original(A, split)
+
+        monkeypatch.setattr(ils, "_signed_gram", counted)
+        prob = random_ils(rng)
+        prob.solution
+        kappa_2ils(prob)
+        assert calls == []
+        M = prob.M
+        assert prob.M is M and len(calls) == 1
+
+    def test_numerically_singular_names_the_bound(self, rng):
+        Q, _ = np.linalg.qr(rng.standard_normal((12, 4)))
+        A = Q * np.array([1.0, 1e-3, 1e-9, 1e-17])
+        with pytest.raises(NumericallySingular, match=r"1/\(max\(m, n\) eps\)"):
+            IlsProblem(A, rng.standard_normal(12), SignatureSplit(12, 0))
+
+    def test_fewer_rows_than_columns_is_singular(self, rng):
+        with pytest.warns(UserWarning, match="m >= n always"):
+            with pytest.raises(NumericallySingular, match="3 rows and 5 columns"):
+                IlsProblem(rng.standard_normal((3, 5)), np.ones(3), SignatureSplit(3, 0))
+
+    @pytest.mark.parametrize("kappa, warns", [(1e11, False), (1e13, True)])
+    def test_warning_reads_eps_times_cond_f(self, kappa, warns):
+        # A^T J A = (3/4) U^T D^2 U here, so cond(F) = cond(A) = kappa
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            prob, _, _ = gen_example2(20, 8, 12, kappa, 1.0, 0)
+        flagged = [w for w in log if issubclass(w.category, IllConditionedWarning)]
+        assert prob.ill_conditioned == warns
+        assert len(flagged) == int(warns)
+        assert prob.factor.cond == pytest.approx(kappa, rel=1e-3)
+
+    @pytest.mark.parametrize("n", [25, 120])
+    def test_solve_bits_match_cho_solve(self, n, rng):
+        B = rng.standard_normal((2 * n, n))
+        M = B.T @ B
+        V = rng.standard_normal((n, 7))
+        factor = SpdFactor(M, "M")
+        expected = scipy.linalg.cho_solve((np.linalg.cholesky(0.5 * (M + M.T)), True), V)
+        np.testing.assert_array_equal(factor.solve(V), expected)
+        np.testing.assert_array_equal(factor.solve(V[:, 0]), expected[:, 0])
 
 
 class TestSolve:

@@ -131,6 +131,29 @@ def test_ex2_trial_builds_one_jacobian(rng, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("with_l", [False, True])
+def test_mixed_and_componentwise_share_one_numerator(with_l, rng, monkeypatch):
+    # two fresh reports on one (problem, L) read the numerator their Jacobian keeps
+    problem = _ex2(rng)[0]
+    params = CondParams(L=rng.standard_normal((problem.n, 3)) if with_l else None)
+    jac = problem.jacobian(params.L)
+    expected = jac.abs_weighted_rowsums(np.abs(problem.A), np.abs(problem.b))
+    calls = []
+    original = JacobianMg.abs_weighted_rowsums
+
+    def counted(self, Wa, wb):
+        calls.append(self)
+        return original(self, Wa, wb)
+
+    monkeypatch.setattr(JacobianMg, "abs_weighted_rowsums", counted)
+    km = kappa_mixed(problem, params)
+    kc = kappa_componentwise(problem, params)
+    assert calls == [jac]
+    np.testing.assert_array_equal(jac.data_numerator, expected)
+    assert km == ConditionReport(problem, params).mixed
+    assert kc == ConditionReport(problem, params).componentwise
+
+
 def test_structured_fields_need_structure(rng):
     problem, _ = _ex3(rng)
     report = ConditionReport(problem)

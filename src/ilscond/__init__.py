@@ -33,7 +33,6 @@ from .ils import (
     NotPositiveDefinite,
     NumericallySingular,
     SignatureSplit,
-    check_spd,
     solve_ils,
 )
 from .kron import entrywise_div, unvec, vec
@@ -80,7 +79,6 @@ __all__ = [
     "TlsNotGeneric",
     "TlsProblem",
     "UndefinedConditionNumber",
-    "check_spd",
     "entrywise_div",
     "estimate_kappa2_pce",
     "estimate_kappa2_ssce",

@@ -97,61 +97,34 @@ class SignatureSplit:
 
 
 class SpdFactor:
-    """Certified Cholesky factor M = chol chol^T of a symmetric positive definite matrix.
+    """Certified factor M = F^T F of a symmetric positive definite matrix.
 
-    The constructor symmetrizes M and certifies it by Cholesky, so ``M``
-    holds exactly the matrix that was certified.  A breakdown raises
-    NotPositiveDefinite naming the matrix; with diagnose=True the message
-    carries its smallest eigenvalue.  ``from_triangular`` wraps a factor the
-    caller has already certified and forms M only when asked.  The
-    factor's condition ``cond`` and the reciprocal 2-norm condition of M,
-    ``rcond``, come from one values-only SVD on first use.
+    Wraps the upper-triangular F that _normal_factor certifies from A's QR
+    factorization; form_m() builds M itself only when ``M`` is read.  The
+    factor's singular values, and with them its condition ``cond``, come
+    from one values-only SVD on first use.
     """
 
-    def __init__(self, M, name, diagnose=False):
-        M = 0.5 * (M + M.T)
-        try:
-            chol = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError as exc:
-            msg = f"{name} is not positive definite; the problem has no unique solution"
-            if diagnose:
-                msg += f" (smallest eigenvalue {float(np.linalg.eigvalsh(M)[0]):.3e})"
-            raise NotPositiveDefinite(msg) from exc
-        self._set_chol(chol)
-        self.M = M
-
-    @classmethod
-    def from_triangular(cls, F, form_m):
-        """The factor of M = F^T F for an upper-triangular F; form_m() builds M on first use."""
-        factor = cls.__new__(cls)
-        factor._set_chol(F.T)
-        factor._form_m = form_m
-        return factor
-
-    def _set_chol(self, chol):
+    def __init__(self, F, form_m):
         # the column-major lower factor is what LAPACK potrs reads without a copy
-        self.chol = np.asfortranarray(chol)
-        self.n = chol.shape[0]
+        self.chol = np.asfortranarray(F.T)
+        self.n = F.shape[0]
+        self._form_m = form_m
 
     @cached_property
     def M(self):
         return self._form_m()
 
     @cached_property
-    def _singular_values(self):
+    def singular_values(self):
+        """Singular values of F, largest first; those of M are their squares."""
         return np.linalg.svd(self.chol, compute_uv=False)
 
     @property
     def cond(self):
         """2-norm condition of the triangular factor; cond(M) is its square."""
-        sv = self._singular_values
+        sv = self.singular_values
         return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-
-    @property
-    def rcond(self):
-        # cond(M) = cond(chol)^2; cheap to read off the factor's singular values
-        sv = self._singular_values
-        return float((sv[-1] / sv[0]) ** 2) if sv[0] > 0 else 0.0
 
     def solve(self, V):
         """Compute M^{-1} V (V a vector or an n-row matrix) by two triangular solves."""
@@ -167,19 +140,6 @@ class SpdFactor:
         return out[:, 0] if single else out
 
 
-def check_spd(A, split, diagnose=False):
-    """Certify that M = A^T J A is positive definite; returns its SpdFactor.
-
-    The factor comes from A's QR factorization (see the module docstring);
-    its ``M`` is A^T J A formed explicitly from the signed row blocks,
-    Ap^T Ap - Aq^T Aq, on first use.  Raises NotPositiveDefinite when the
-    certificate fails (with diagnose=True the message carries the smallest
-    eigenvalue of Q^T J Q) and NumericallySingular when M is singular to
-    working precision.
-    """
-    return _normal_factor(checked_data("A", A, matrix=True), split, diagnose)[0]
-
-
 def _signed_gram(A, split):
     Ap = A[: split.p]
     Aq = A[split.p:]
@@ -187,9 +147,10 @@ def _signed_gram(A, split):
     return 0.5 * (M + M.T)
 
 
-def _normal_factor(A, split, diagnose):
-    # check_spd on an A that checked_data has already validated; also returns
-    # the QR pieces (qr, tau, G) from which IlsProblem forms its right-hand side
+def _normal_factor(A, split):
+    # certify A^T J A = F^T F for an A that checked_data has already validated;
+    # also returns the QR pieces (qr, tau, G) from which IlsProblem forms its
+    # right-hand side.  Its M is Ap^T Ap - Aq^T Aq, formed on first read.
     m, n = A.shape
     if split.m != m:
         raise ValueError(f"signature split p+q={split.m} does not match m={m}")
@@ -203,9 +164,15 @@ def _normal_factor(A, split, diagnose):
         raise NumericallySingular(_singular_message(np.inf, bound))
     C = -2.0 * (QqT @ QqT.T)
     C.flat[:: n + 1] += 1.0
-    G = SpdFactor(C, "Q^T J Q (A = QR, congruent to A^T J A)", diagnose).chol
-    factor = SpdFactor.from_triangular(dtrmm(1.0, qr, G.T, side=1),
-                                       lambda: _signed_gram(A, split))
+    C = 0.5 * (C + C.T)
+    try:
+        G = np.linalg.cholesky(C)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(
+            "Q^T J Q (A = QR, congruent to A^T J A) is not positive definite; the "
+            "problem has no unique solution (smallest eigenvalue "
+            f"{float(np.linalg.eigvalsh(C)[0]):.3e})") from exc
+    factor = SpdFactor(dtrmm(1.0, qr, G.T, side=1), lambda: _signed_gram(A, split))
     if factor.cond >= bound:
         raise NumericallySingular(_singular_message(factor.cond, bound))
     return factor, (qr, tau, G)
@@ -234,11 +201,10 @@ class IlsProblem(SharedJacobian):
     b : (m,) array
     split : SignatureSplit
         Counts (p, q) of +1 and -1 signature entries; p + q = m.
-    diagnose : bool
-        Report the smallest eigenvalue of Q^T J Q when definiteness fails.
 
     Raises ValueError for complex or non-finite data, NotPositiveDefinite
-    when A^T J A is not positive definite, and its subclass
+    when A^T J A is not positive definite (its message carries the
+    smallest eigenvalue of Q^T J Q), and its subclass
     NumericallySingular when A^T J A = F^T F has cond(F) >= 1/(max(m, n)
     eps).  Below that bound, when eps * cond(F) > 1e-3, an
     IllConditionedWarning is issued and ``ill_conditioned`` is set;
@@ -247,7 +213,7 @@ class IlsProblem(SharedJacobian):
     when read.
     """
 
-    def __init__(self, A, b, split, diagnose=False):
+    def __init__(self, A, b, split):
         A = checked_data("A", A, matrix=True)
         b = checked_data("b", b, matrix=False)
         m, n = A.shape
@@ -265,7 +231,7 @@ class IlsProblem(SharedJacobian):
         self.split = split
         self.m = m
         self.n = n
-        self.factor, (qr, tau, G) = _normal_factor(A, split, diagnose)
+        self.factor, (qr, tau, G) = _normal_factor(A, split)
         # solve_ils needs only F and G^{-1} (Q^T J b)[:n], so the packed QR
         # is not kept; Q^T is applied by its reflectors, never formed
         qjb, _, _ = dormqr("L", "T", qr, tau, split.apply(b)[:, None], 1)

@@ -3,11 +3,11 @@
 A TLS instance min ||[E, e]||_F s.t. (A+E)x = b+e is the indefinite problem
 on [A; sigma I_n] with signature diag(I_m, -I_n), where sigma is the
 smallest singular value of [A, b].  This module solves generic TLS
-instances, evaluates their partial condition numbers (unified, 2-norm,
-mixed, componentwise; the structured ones are fields of
-exact.ConditionReport on a TlsProblem), and provides the general composed
-first-order machinery for a stacked IlsProblem on [A; B] whose lower
-blocks depend on the data.
+instances as that IlsProblem, on its QR factor route, evaluates their
+partial condition numbers (unified, 2-norm, mixed, componentwise; the
+structured ones are fields of exact.ConditionReport on a TlsProblem), and
+provides the general composed first-order machinery for a stacked
+IlsProblem on [A; B] whose lower blocks depend on the data.
 """
 
 from dataclasses import dataclass
@@ -16,8 +16,13 @@ import numpy as np
 
 from .exact import (CondParams, JacobianMg, SharedJacobian, _induced_norm, kappa_2ils,
                     kappa_componentwise, kappa_mixed)
-from .ils import NotPositiveDefinite, SpdFactor, checked_data
+from .ils import IlsProblem, NotPositiveDefinite, SignatureSplit, checked_data
 from .kron import ddagger, vec
+
+# relative gap below which sigma_tilde is not separated from sigma_n(A)
+GAP_TOL = 1e-10
+# sigma_tilde at or below this fraction of ||[A, b]||_2 counts as a consistent system
+SIGMA_TINY = 1e-13
 
 
 class TlsNotGeneric(ValueError):
@@ -25,16 +30,22 @@ class TlsNotGeneric(ValueError):
 
 
 class TlsProblem(SharedJacobian):
-    """A generic total least squares instance with its shifted normal matrix.
+    """A generic total least squares instance, solved as its stacked ILS problem.
 
     Construction computes sigma_tilde, the smallest singular value of
-    [A, b], requires it to sit below sigma_n(A) with relative gap at least
-    gap_tol, and factors Mt = A^T A - sigma_tilde^2 I (positive definite on
-    the generic set).  The solution is x = Mt^{-1} A^T b and r = b - A x.
-    Complex or non-finite data raises ValueError naming the argument.
+    [A, b], and certifies ``stacked``, the IlsProblem on [A; sigma_tilde I_n],
+    [b; 0] with signature diag(I_m, -I_n), whose A^T J A is
+    Mt = A^T A - sigma_tilde^2 I.  Its QR route gives x = Mt^{-1} A^T b, the
+    residual r = b - A x (the first m entries of the stacked residual) and
+    every Mt^{-1} product, with errors that grow with cond(A), not cond(Mt).
+    sigma_n(A) = hypot(sigma_min(F), sigma_tilde) for Mt = F^T F, and the
+    instance is generic when sigma_tilde sits below it with relative gap at
+    least GAP_TOL.  A failed certificate or gap raises TlsNotGeneric;
+    complex or non-finite data raises ValueError naming the argument.  The
+    stacked problem issues IllConditionedWarning as any IlsProblem does.
     """
 
-    def __init__(self, A, b, gap_tol=1e-10):
+    def __init__(self, A, b):
         A = checked_data("A", A, matrix=True)
         b = checked_data("b", b, matrix=False)
         m, n = A.shape
@@ -44,40 +55,45 @@ class TlsProblem(SharedJacobian):
             raise ValueError("TLS needs strictly more rows than columns")
         full = np.column_stack([A, b])
         sv_full = np.linalg.svd(full, compute_uv=False)
-        sv_a = np.linalg.svd(A, compute_uv=False)
         self.sigma_tilde = float(sv_full[-1])
-        self.sigma_n = float(sv_a[-1])
-        if self.sigma_n <= 0 or (self.sigma_n - self.sigma_tilde) < gap_tol * self.sigma_n:
-            raise TlsNotGeneric(
-                f"singular value gap too small: sigma_n = {self.sigma_n:.6e}, "
-                f"sigma_tilde = {self.sigma_tilde:.6e}"
-            )
         try:
-            self.factor = SpdFactor(A.T @ A - self.sigma_tilde**2 * np.eye(n),
-                                    "A^T A - sigma_tilde^2 I")
+            self.stacked = IlsProblem(np.vstack([A, self.sigma_tilde * np.eye(n)]),
+                                      np.concatenate([b, np.zeros(n)]), SignatureSplit(m, n))
         except NotPositiveDefinite as exc:
             raise TlsNotGeneric(
                 "A^T A - sigma_tilde^2 I lost definiteness numerically"
             ) from exc
+        self.sigma_n = float(np.hypot(self.stacked.factor.singular_values[-1],
+                                      self.sigma_tilde))
+        if self.sigma_n - self.sigma_tilde < GAP_TOL * self.sigma_n:
+            raise TlsNotGeneric(
+                f"singular value gap too small: sigma_n = {self.sigma_n:.6e}, "
+                f"sigma_tilde = {self.sigma_tilde:.6e}"
+            )
         self.A = A
         self.b = b
         self.m = m
         self.n = n
-        self.Mt = self.factor.M
-        self.x = self.apply_minv(A.T @ b)
-        self.r = b - A @ self.x
+        sol = self.stacked.solution
+        self.x = sol.x
+        self.r = sol.r[:m]
+
+    @property
+    def Mt(self):
+        """A^T A - sigma_tilde^2 I, the stacked problem's M, formed only when read."""
+        return self.stacked.M
 
     def apply_minv(self, V):
-        """Compute Mt^{-1} V with the certified factor."""
-        return self.factor.solve(V)
+        """Compute Mt^{-1} V with the stacked problem's certified factor."""
+        return self.stacked.apply_minv(V)
 
     def _build_jacobian(self, L):
         return tls_jacobian(self, L)
 
 
-def solve_tls(A, b, gap_tol=1e-10):
+def solve_tls(A, b):
     """Solve a generic TLS instance; raises TlsNotGeneric on gap violation."""
-    return TlsProblem(A, b, gap_tol=gap_tol)
+    return TlsProblem(A, b)
 
 
 def tls_jacobian(tls, L=None):
@@ -127,15 +143,15 @@ class ComposedBlocks:
         return cls(*map(np.zeros, cls.shapes(m, n, s)))
 
 
-def tls_blocks(t, tiny=1e-13):
+def tls_blocks(t):
     """Composed blocks of the TLS stacking B = sigma I_n, d = 0 of a TlsProblem.
 
     The leading constant is 1/sigma, so consistent systems (sigma below
-    tiny relative to ||[A, b]||) are excluded rather than extrapolated.
+    SIGMA_TINY relative to ||[A, b]||) are excluded rather than extrapolated.
     """
     sigma = t.sigma_tilde
     scale = np.linalg.norm(np.column_stack([t.A, t.b]), 2)
-    if sigma <= tiny * scale:
+    if sigma <= SIGMA_TINY * scale:
         raise TlsNotGeneric(
             "sigma_tilde is numerically zero; the composed blocks blow up "
             "on consistent systems"

@@ -63,3 +63,35 @@ def mp_condition_numbers(A, b, p):
         mixed = max(num) / max(abs(xc) for xc in x)
         componentwise = max(ni / abs(xc) for ni, xc in zip(num, x))
         return float(kappa2), float(mixed), float(componentwise)
+
+
+def mp_tls_kappa2(A, b):
+    """kappa_2 of the TLS problem on (A, b) for L = I and unit weights, as a float.
+
+    sigma_tilde^2 is lambda_min of [A, b]^T [A, b], Mt = A^T A - sigma_tilde^2 I
+    is inverted by LU, and the generators are those of tls_jacobian: w = r,
+    U = Mt^{-1}, V = A U + 2 r (x^T U) / (1 + ||x||^2).  The Gram matrix of
+    the first-order map is
+    ||w||^2 U^T U - c d^T - d c^T + (||x||^2 + 1) V^T V, c = U^T x, d = V^T w.
+    """
+    m, n = A.shape
+    with mpmath.workdps(DIGITS):
+        fdot = mpmath.fdot
+        Am = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in A])
+        bm = mpmath.matrix([mpmath.mpf(float(v)) for v in b])
+        full = mpmath.matrix(m, n + 1)
+        for i in range(m):
+            for j in range(n):
+                full[i, j] = Am[i, j]
+            full[i, n] = bm[i]
+        sigma2 = min(mpmath.eigsy(full.T * full, eigvals_only=True))
+        Minv = mpmath.inverse(Am.T * Am - sigma2 * mpmath.eye(n))
+        x = Minv * (Am.T * bm)
+        r = bm - Am * x
+        xx = fdot(x, x)
+        U = Minv
+        V = Am * U + (2 / (1 + xx)) * r * (x.T * U)
+        c = U.T * x
+        d = V.T * r
+        G = fdot(r, r) * (U.T * U) - c * d.T - d * c.T + (xx + 1) * (V.T * V)
+        return float(mpmath.sqrt(max(mpmath.eigsy(G, eigvals_only=True))))

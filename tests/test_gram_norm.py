@@ -302,9 +302,9 @@ def test_l_changed_in_place_gets_a_fresh_map(kind, rng):
 @given(SEEDS, st.floats(0.0, 4.0))
 def test_tls_left_orthogonal_invariance(seed, t):
     # Q [A, b] keeps the singular values and x, so kappa_2tls(QA, Qb) equals
-    # kappa_2tls(A, b) up to rounding.  The generators come from a Cholesky
-    # factor of Mt = A^T A - sigma^2 I, so the tolerance is 100 n eps cond(Mt),
-    # about cond(A)^2 here; 100 n eps cond(A) fails at cond(A) = 1e3.
+    # kappa_2tls(A, b) up to rounding.  The generators come from the QR route
+    # of the stacked problem on [A; sigma I], whose errors grow with cond(A),
+    # not with cond(Mt) = cond(A^T A - sigma^2 I).
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
     m = int(rng.integers(n + 2, 20))
@@ -320,7 +320,7 @@ def test_tls_left_orthogonal_invariance(seed, t):
         after = kappa_2tls(solve_tls(Q @ A, Q @ b), params)
     except TlsNotGeneric:
         assume(False)
-    tol = 100 * n * np.finfo(float).eps * np.linalg.cond(tls.Mt)
+    tol = 100 * n * np.finfo(float).eps * np.linalg.cond(A)
     assert rel_err(before, after) <= tol
 
 

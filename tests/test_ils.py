@@ -10,7 +10,6 @@ from ilscond import (
     NotPositiveDefinite,
     NumericallySingular,
     SignatureSplit,
-    check_spd,
     kappa_2ils,
     solve_ils,
 )
@@ -43,10 +42,12 @@ class TestSignatureSplit:
 
 
 class TestCheckSpd:
+    """The definiteness certificate that IlsProblem runs on construction."""
+
     def test_gram_case(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((10, 4))
-        factor = check_spd(A, SignatureSplit(10, 0))
+        factor = IlsProblem(A, np.zeros(10), SignatureSplit(10, 0)).factor
         M, chol = factor.M, factor.chol
         np.testing.assert_allclose(M, A.T @ A, rtol=1e-14)
         np.testing.assert_allclose(chol @ chol.T, M, rtol=0, atol=1e-12)
@@ -59,7 +60,7 @@ class TestCheckSpd:
         )
         np.testing.assert_array_equal(expected, [[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(NotPositiveDefinite):
-            check_spd(A, SignatureSplit(2, 1))
+            IlsProblem(A, np.zeros(3), SignatureSplit(2, 1))
 
     def test_rank_one_oracle_definite(self):
         A = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
@@ -67,18 +68,19 @@ class TestCheckSpd:
             np.outer(A[0], A[0]) + np.outer(A[1], A[1]) - np.outer(A[2], A[2])
         )
         np.testing.assert_array_equal(expected, [[3.0, -1.0], [-1.0, 3.0]])
-        M = check_spd(A, SignatureSplit(2, 1)).M
+        M = IlsProblem(A, np.zeros(3), SignatureSplit(2, 1)).M
         np.testing.assert_array_equal(M, expected)
         np.testing.assert_allclose(np.linalg.eigvalsh(M), [2.0, 4.0], rtol=1e-14)
 
-    def test_diagnose_reports_eigenvalue(self):
+    def test_failure_reports_eigenvalue(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(NotPositiveDefinite, match="eigenvalue"):
-            check_spd(A, SignatureSplit(2, 1), diagnose=True)
+            IlsProblem(A, np.zeros(3), SignatureSplit(2, 1))
 
     def test_split_mismatch(self):
-        with pytest.raises(ValueError):
-            check_spd(np.eye(3), SignatureSplit(2, 2))
+        with pytest.warns(UserWarning, match="m > n"):
+            with pytest.raises(ValueError):
+                IlsProblem(np.eye(3), np.zeros(3), SignatureSplit(2, 2))
 
 
 class TestQrCertificate:
@@ -135,8 +137,9 @@ class TestQrCertificate:
         B = rng.standard_normal((2 * n, n))
         M = B.T @ B
         V = rng.standard_normal((n, 7))
-        factor = SpdFactor(M, "M")
-        expected = scipy.linalg.cho_solve((np.linalg.cholesky(0.5 * (M + M.T)), True), V)
+        chol = np.linalg.cholesky(M)
+        factor = SpdFactor(chol.T, lambda: M)
+        expected = scipy.linalg.cho_solve((chol, True), V)
         np.testing.assert_array_equal(factor.solve(V), expected)
         np.testing.assert_array_equal(factor.solve(V[:, 0]), expected[:, 0])
 

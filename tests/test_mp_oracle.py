@@ -1,5 +1,8 @@
 """Condition numbers against 50-digit mpmath references (tests/mp_oracle.py).
 
+The ILS cells check kappa_2, mixed and componentwise values; the TLS cells
+check kappa_2tls.
+
 Each value must agree with its reference to c n eps cond(A) relative, with
 c = 10 fixed before any error was measured.  A componentwise value divides
 by |x_i|, whose relative error is the normwise error of x times
@@ -16,10 +19,10 @@ mpmath each and run with ``-m mpmath_desk``.
 import numpy as np
 import pytest
 
-from ilscond import ConditionReport, kappa_2ils
+from ilscond import ConditionReport, kappa_2ils, kappa_2tls, solve_tls
 from ilscond.bench import gen_example1, gen_example2
 
-from mp_oracle import mp_condition_numbers
+from mp_oracle import mp_condition_numbers, mp_tls_kappa2
 
 EPS = np.finfo(float).eps
 C = 10
@@ -81,3 +84,25 @@ def test_desk_table1_n6(seed):
 def test_desk_table2_kappa_1e8(seed):
     problem, _, _ = gen_example2(60, 25, 35, 1e8, 1.0, seed)
     _assert_agrees(problem)
+
+
+@pytest.mark.parametrize("kappa", [
+    # measured relative error of kappa_2tls, then the tolerance
+    1e2,  # 6.2e-16, tol 1.8e-12
+    1e5,  # 5.0e-13, tol 1.8e-09
+    1e7,  # 1.5e-11, tol 1.8e-07
+])
+def test_tls_small(kappa):
+    # A = Q diag(logspace(0, -log10 kappa, n)) W^T, so cond(A) = kappa, and
+    # b carries noise well below sigma_n(A), so the instance is generic
+    m, n = 40, 8
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.logspace(0, -np.log10(kappa), n)
+    A = (Q * s) @ W.T
+    b = A @ rng.standard_normal(n) + 1e-2 * s[-1] * rng.standard_normal(m)
+    exact = mp_tls_kappa2(A, b)
+    err = abs(kappa_2tls(solve_tls(A, b)) - exact) / exact
+    bound = C * n * EPS * np.linalg.cond(A)
+    assert err <= bound, f"kappa_2tls: relative error {err:.2e} above {bound:.2e}"

@@ -5,7 +5,9 @@ import ilscond.exact
 from ilscond import (
     CondParams,
     ConditionReport,
+    IllConditionedWarning,
     IlsProblem,
+    NotPositiveDefinite,
     SignatureSplit,
     StructuredParams,
     TlsNotGeneric,
@@ -88,6 +90,47 @@ class TestSolveTls:
             solve_tls(np.eye(3), np.ones(3))
 
 
+class TestStackedRoute:
+    """x, r, Mt and every Mt^{-1} product come from the stacked IlsProblem."""
+
+    def test_sigma_n_is_smallest_singular_value_of_a(self, rng):
+        for _ in range(10):
+            A, b = random_tls(rng)
+            tls = solve_tls(A, b)
+            s_a = np.linalg.svd(A, compute_uv=False)
+            assert tls.sigma_n == pytest.approx(s_a[-1], rel=1e-12)
+
+    def test_mt_and_r_read_the_stacked_problem(self, rng):
+        A, b = random_tls(rng)
+        tls = solve_tls(A, b)
+        Mt = tls.Mt
+        assert Mt is tls.stacked.M
+        expected = A.T @ A - tls.sigma_tilde**2 * np.eye(3)
+        np.testing.assert_allclose(Mt, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+        np.testing.assert_array_equal(tls.r, tls.stacked.solution.r[:10])
+        np.testing.assert_allclose(tls.r, b - A @ tls.x, rtol=0, atol=1e-13 * np.linalg.norm(b))
+
+    def test_failed_certificate_is_not_generic(self, rng):
+        # a zero column makes sigma_tilde = sigma_n(A) = 0, so Mt is singular
+        A = rng.standard_normal((10, 3))
+        A[:, 1] = 0.0
+        with pytest.raises(TlsNotGeneric, match="lost definiteness") as info:
+            solve_tls(A, rng.standard_normal(10))
+        assert isinstance(info.value.__cause__, NotPositiveDefinite)
+
+    def test_ill_conditioned_instance_warns(self, rng):
+        # cond(A) = 1e13 with noise far below sigma_n(A): eps cond(F) > 1e-3
+        m, n = 40, 8
+        Q, _ = np.linalg.qr(rng.standard_normal((m, n)))
+        W, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        s = np.logspace(0, -13, n)
+        A = (Q * s) @ W.T
+        b = A @ rng.standard_normal(n) + 1e-2 * s[-1] * rng.standard_normal(m)
+        with pytest.warns(IllConditionedWarning):
+            tls = solve_tls(A, b)
+        assert tls.stacked.ill_conditioned
+
+
 class TestBoundaryValidation:
     """TlsProblem and the stacked IlsProblem reject bad data by argument name."""
 
@@ -148,9 +191,9 @@ class TestKappa2Tls:
             assert rel_err(got, expected) <= 1e-12
 
     def test_ill_conditioned_matches_materialised_map(self, rng):
-        # cond(A) = 1e5 gives cond(Mt) ~ 1e10, so an inverse-built oracle
-        # differs from the Cholesky generators by eps * 1e10; the dense map
-        # from the same generators isolates the Gram kernel's own error.
+        # cond(A) = 1e5 gives cond(Mt) ~ 1e10, so an oracle built from the
+        # inverse of the formed Mt carries an error of eps * 1e10; the dense
+        # map from the same generators isolates the Gram kernel's own error.
         m, n = 30, 6
         Q, _ = np.linalg.qr(rng.standard_normal((m, n)))
         W, _ = np.linalg.qr(rng.standard_normal((n, n)))

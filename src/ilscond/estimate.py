@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .exact import CondParams, componentwise_ratio, mixed_ratio, normwise_map, params_jacobian
 from .kron import unvec
@@ -44,6 +45,15 @@ def wallis(k, approx=False):
     for j in range(3, k, 2):
         den *= j
     return (2.0 / math.pi) * num / den
+
+
+def _orthonormalize(Z):
+    # the Q of np.linalg.qr(Z), bit for bit and in its row-major layout (the
+    # layout sets how the draws' reshapes reach BLAS), from the same two
+    # LAPACK calls without np.linalg.qr's other copies
+    qr, tau, _, _ = dgeqrf(Z)
+    Q, _, _ = dorgqr(qr, tau)
+    return np.ascontiguousarray(Q)
 
 
 @dataclass
@@ -283,7 +293,7 @@ def estimate_kappa2_ssce(problem, params=None, config=None):
         raise ValueError("sample count k must not exceed n")
     rng = config.make_rng()
     Z = rng.standard_normal((n, config.k))
-    Q, _ = np.linalg.qr(Z)
+    Q = _orthonormalize(Z)
     S = normwise_map(problem, params)
     factor = wallis(config.k, approx=True) / wallis(n, approx=True)
     return float(factor * np.linalg.norm(Q.T @ S) / xi)
@@ -304,7 +314,7 @@ def estimate_kappa_inf_ssce(problem, params=None, config=None):
     jac = params_jacobian(problem, params)
     rng = config.make_rng()
     Z = rng.standard_normal((t, config.k))
-    Q, _ = np.linalg.qr(Z)
+    Q = _orthonormalize(Z)
     acc = np.zeros(jac.k)
     for i in range(config.k):
         z = Q[:, i]

@@ -173,10 +173,14 @@ class JacobianMg:
         S = [psi ||w|| (U^T - c x^T), -beta V^T, psi ||x|| (V^T - c w^T)],
         c = V^T w / ||w||^2 (0 when w = 0, the w -> 0 limit).  Only the
         generators enter, so this holds for the ILS and the TLS map alike.
-        The unit-weight S is built once; psi and beta scale its columns.
+        The unit-weight S is built once and returned itself, read-only, for
+        psi = beta = 1; other weights scale a copy of its columns.
         """
         if self._unit_factored is None:
             self._unit_factored = self._form_unit_factored()
+            self._unit_factored.flags.writeable = False
+        if psi == 1 and beta == 1:
+            return self._unit_factored
         return self._unit_factored * np.repeat([psi, beta, psi], [self.n, self.m, self.m])
 
     def _form_unit_factored(self):

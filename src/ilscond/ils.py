@@ -9,6 +9,8 @@ with cond(A), not cond(A)^2.  The result is an SpdFactor, the one Cholesky
 factor type of the package, which every subsequent M^{-1} application reuses.
 """
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dgeqrf, dormqr, dpotrs, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dormqr, dpotrs, dtrtri, dtrtrs
 
 from .exact import JacobianMg, SharedJacobian
 
@@ -38,6 +40,18 @@ class IllConditionedWarning(UserWarning):
 
 
 EPS = np.finfo(float).eps
+
+
+def _caller_stacklevel():
+    """The stacklevel, for a warning its caller issues, of the first frame outside the package.
+
+    A TlsProblem's stacked IlsProblem then warns at the line that built the
+    TlsProblem, not inside tls.py.
+    """
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def checked_data(name, value, matrix):
@@ -100,9 +114,13 @@ class SpdFactor:
     """Certified factor M = F^T F of a symmetric positive definite matrix.
 
     Wraps the upper-triangular F that _normal_factor certifies from A's QR
-    factorization; form_m() builds M itself only when ``M`` is read.  The
-    factor's singular values, and with them its condition ``cond``, come
-    from one values-only SVD on first use.
+    factorization; form_m() builds M itself only when ``M`` is read.
+
+    ``cond_upper`` and ``sigma_min_lower`` bound cond(F) from above and
+    sigma_min(F) from below without an SVD, from one triangular inverse and
+    two n x n products; the conditioning checks read them first.  The exact
+    ``singular_values``, and with them ``cond``, come from one values-only
+    SVD, taken only when read.
     """
 
     def __init__(self, F, form_m):
@@ -125,6 +143,38 @@ class SpdFactor:
         """2-norm condition of the triangular factor; cond(M) is its square."""
         sv = self.singular_values
         return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+
+    @property
+    def cond_upper(self):
+        """Upper bound on ``cond``: ||(F^T F)^2||_F^(1/4) ||F^{-1}||_F, widened.
+
+        ||F||_2 = ||(F^T F)^2||_2^(1/4) and ||F^{-1}||_2 <= ||F^{-1}||_F.  The
+        product b is widened to b (1 + n eps b) to cover the rounding of the
+        computed inverse and products, and of the SVD that ``cond`` would
+        take.  inf when F^{-1} overflows or F has a zero on its diagonal.
+        """
+        return self._bounds[0]
+
+    @property
+    def sigma_min_lower(self):
+        """Lower bound on the smallest singular value of F: 1 / ||F^{-1}||_F, widened."""
+        return self._bounds[1]
+
+    @cached_property
+    def _bounds(self):
+        # cond is scale-free, so F is scaled by a power of two (exactly) to a
+        # largest entry in [1/2, 1): (F^T F)^2 then neither overflows nor
+        # underflows to zero
+        e = math.frexp(float(np.max(np.abs(self.chol))))[1]
+        L = np.ldexp(self.chol, -e)
+        inv, info = dtrtri(L, lower=1)
+        inv_fro = float(np.linalg.norm(inv))
+        if info != 0 or not np.isfinite(inv_fro):
+            return np.inf, 0.0
+        gram = L @ L.T
+        raw = math.sqrt(math.sqrt(float(np.linalg.norm(gram @ gram)))) * inv_fro
+        widen = 1.0 + self.n * EPS * raw
+        return raw * widen, math.ldexp(1.0 / (inv_fro * widen), e)
 
     def solve(self, V):
         """Compute M^{-1} V (V a vector or an n-row matrix) by two triangular solves."""
@@ -173,7 +223,8 @@ def _normal_factor(A, split):
             "problem has no unique solution (smallest eigenvalue "
             f"{float(np.linalg.eigvalsh(C)[0]):.3e})") from exc
     factor = SpdFactor(dtrmm(1.0, qr, G.T, side=1), lambda: _signed_gram(A, split))
-    if factor.cond >= bound:
+    # the SVD decides only where the bound cannot
+    if factor.cond_upper >= bound and factor.cond >= bound:
         raise NumericallySingular(_singular_message(factor.cond, bound))
     return factor, (qr, tau, G)
 
@@ -209,8 +260,11 @@ class IlsProblem(SharedJacobian):
     eps).  Below that bound, when eps * cond(F) > 1e-3, an
     IllConditionedWarning is issued and ``ill_conditioned`` is set;
     computation proceeds, since problems near the definiteness boundary are
-    exactly the interesting regime.  ``M`` (A^T J A itself) is formed only
-    when read.
+    exactly the interesting regime.  Both checks read the factor's
+    SVD-free ``cond_upper`` first and take the SVD of F only when that
+    bound reaches the threshold, so their outcome is the SVD's.  Warnings
+    name the first caller outside the package.  ``M`` (A^T J A itself) is
+    formed only when read.
     """
 
     def __init__(self, A, b, split):
@@ -224,7 +278,7 @@ class IlsProblem(SharedJacobian):
                 "a genuinely indefinite problem needs m > n (and m >= n always); "
                 "proceeding anyway",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
         self.A = A
         self.b = b
@@ -236,14 +290,14 @@ class IlsProblem(SharedJacobian):
         # is not kept; Q^T is applied by its reflectors, never formed
         qjb, _, _ = dormqr("L", "T", qr, tau, split.apply(b)[:, None], 1)
         self._gqjb, _ = dtrtrs(G, qjb[:n], lower=1)
-        cond = self.factor.cond
-        self.ill_conditioned = EPS * cond > 1e-3
+        self.ill_conditioned = (EPS * self.factor.cond_upper > 1e-3
+                                and EPS * self.factor.cond > 1e-3)
         if self.ill_conditioned:
             warnings.warn(
-                f"A^T J A = F^T F is nearly singular (cond(F) ~ {cond:.2e}); "
+                f"A^T J A = F^T F is nearly singular (cond(F) ~ {self.factor.cond:.2e}); "
                 "condition numbers remain computable but lose accuracy",
                 IllConditionedWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
 
     @property

@@ -11,6 +11,7 @@ IlsProblem on [A; B] whose lower blocks depend on the data.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +41,13 @@ class TlsProblem(SharedJacobian):
     every Mt^{-1} product, with errors that grow with cond(A), not cond(Mt).
     sigma_n(A) = hypot(sigma_min(F), sigma_tilde) for Mt = F^T F, and the
     instance is generic when sigma_tilde sits below it with relative gap at
-    least GAP_TOL.  A failed certificate or gap raises TlsNotGeneric;
+    least GAP_TOL.  The gap is checked first at the lower bound
+    hypot(F.sigma_min_lower, sigma_tilde) of sigma_n; the exact ``sigma_n``
+    (one values-only SVD of F) is computed only when that bound cannot
+    decide, or when read.  A failed certificate or gap raises TlsNotGeneric;
     complex or non-finite data raises ValueError naming the argument.  The
-    stacked problem issues IllConditionedWarning as any IlsProblem does.
+    stacked problem issues IllConditionedWarning as any IlsProblem does,
+    attributed to the line that built the TlsProblem.
     """
 
     def __init__(self, A, b):
@@ -63,9 +68,11 @@ class TlsProblem(SharedJacobian):
             raise TlsNotGeneric(
                 "A^T A - sigma_tilde^2 I lost definiteness numerically"
             ) from exc
-        self.sigma_n = float(np.hypot(self.stacked.factor.singular_values[-1],
-                                      self.sigma_tilde))
-        if self.sigma_n - self.sigma_tilde < GAP_TOL * self.sigma_n:
+        # the gap holds at sigma_n if it holds at this lower bound of it; only
+        # when it does not is the exact sigma_n (one SVD of F) needed
+        lower = float(np.hypot(self.stacked.factor.sigma_min_lower, self.sigma_tilde))
+        if (lower - self.sigma_tilde < GAP_TOL * lower
+                and self.sigma_n - self.sigma_tilde < GAP_TOL * self.sigma_n):
             raise TlsNotGeneric(
                 f"singular value gap too small: sigma_n = {self.sigma_n:.6e}, "
                 f"sigma_tilde = {self.sigma_tilde:.6e}"
@@ -77,6 +84,11 @@ class TlsProblem(SharedJacobian):
         sol = self.stacked.solution
         self.x = sol.x
         self.r = sol.r[:m]
+
+    @cached_property
+    def sigma_n(self):
+        """Smallest singular value of A, hypot(sigma_min(F), sigma_tilde) for Mt = F^T F."""
+        return float(np.hypot(self.stacked.factor.singular_values[-1], self.sigma_tilde))
 
     @property
     def Mt(self):

@@ -112,6 +112,15 @@ def test_factored_gram_equals_weighted_gram(kind, rng):
     assert np.linalg.norm(S @ S.T - G) <= 1e-12 * np.linalg.norm(G)
 
 
+def test_unit_weight_factored_is_shared_and_read_only(rng):
+    jac = _factored_case("ils", rng)
+    S = jac.factored(1, 1)
+    assert jac.factored(1.0, 1.0) is S and not S.flags.writeable
+    np.testing.assert_array_equal(S, jac._form_unit_factored())
+    scale = np.repeat([1.2, 0.8, 1.2], [jac.n, jac.m, jac.m])
+    np.testing.assert_array_equal(jac.factored(1.2, 0.8), S * scale)
+
+
 class TestStructured2AgainstSvd:
     def test_example3(self, rng):
         prob, sparams, _, _ = gen_example3(10, 1.0, rng)

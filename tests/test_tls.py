@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,15 @@ def random_tls(rng, m=10, n=3, noise=0.3):
     x = rng.standard_normal(n)
     b = A @ x + noise * rng.standard_normal(m)
     return A, b
+
+
+def ill_conditioned_tls(rng, m=40, n=8):
+    """cond(A) = 1e13 with noise far below sigma_n(A): eps cond(F) > 1e-3."""
+    Q, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.logspace(0, -13, n)
+    A = (Q * s) @ W.T
+    return A, A @ rng.standard_normal(n) + 1e-2 * s[-1] * rng.standard_normal(m)
 
 
 def stacked_ils(A, B, b, d):
@@ -119,16 +130,19 @@ class TestStackedRoute:
         assert isinstance(info.value.__cause__, NotPositiveDefinite)
 
     def test_ill_conditioned_instance_warns(self, rng):
-        # cond(A) = 1e13 with noise far below sigma_n(A): eps cond(F) > 1e-3
-        m, n = 40, 8
-        Q, _ = np.linalg.qr(rng.standard_normal((m, n)))
-        W, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        s = np.logspace(0, -13, n)
-        A = (Q * s) @ W.T
-        b = A @ rng.standard_normal(n) + 1e-2 * s[-1] * rng.standard_normal(m)
+        A, b = ill_conditioned_tls(rng)
         with pytest.warns(IllConditionedWarning):
             tls = solve_tls(A, b)
         assert tls.stacked.ill_conditioned
+
+    def test_ill_conditioned_warning_names_the_caller(self, rng):
+        A, b = ill_conditioned_tls(rng)
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            solve_tls(A, b)
+        flagged = [w for w in log if issubclass(w.category, IllConditionedWarning)]
+        assert len(flagged) == 1
+        assert flagged[0].filename == __file__
 
 
 class TestBoundaryValidation:

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
-from scipy.linalg.lapack import dgeqrf, dorgqr
+from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
 
 from .exact import CondParams, componentwise_ratio, mixed_ratio, normwise_map, params_jacobian
 from .kron import unvec
@@ -98,7 +97,8 @@ class SsceConfig:
 
 def _bidiag_smax(alphas, betas):
     # largest singular value of the upper bidiagonal projection: diag alphas,
-    # superdiag betas; j x (j+1) when the trailing residual coupling is known
+    # superdiag betas; j x (j+1) when the trailing residual coupling is known.
+    # dgesdd is the driver scipy.linalg.svdvals wraps, called without the wrapper
     j = len(alphas)
     if j == 0:
         return 0.0
@@ -108,7 +108,10 @@ def _bidiag_smax(alphas, betas):
     if betas:
         nb = len(betas)
         B[np.arange(nb), np.arange(1, nb + 1)] = betas
-    return float(scipy.linalg.svdvals(B)[0])
+    _, s, _, info = dgesdd(B, compute_uv=0, full_matrices=0)
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD of the bidiagonal projection did not converge")
+    return float(s[0])
 
 
 def _reorth(w, basis):

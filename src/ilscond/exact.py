@@ -208,28 +208,26 @@ class JacobianMg:
         """Rows of |Mg| times the stacked nonnegative weights [vec(Wa); wb].
 
         Rows are processed in blocks of at most ROWSUM_BLOCK_ENTRIES matrix
-        entries (at least one row), each block one (rows, m, n) array formed
-        in place.  Every row is still summed as one contiguous m x n block
-        and its b part as one dot product, so the result is bit-identical
-        to a row-by-row loop and independent of the block height.
+        entries (at least one row) in one (rows, m, n) buffer.  Row j is the
+        rank-2 product [w, -v_j] [u_j^T; x^T], one stacked GEMM per block,
+        summed by one unit-stride dot product with Wa, as its b part is with
+        wb.  The result is independent of the block height; it is not bit
+        for bit a row-by-row loop's, whose summation order differs.
         """
-        Wa = np.asarray(Wa, dtype=float)
-        wb = np.asarray(wb, dtype=float).ravel()
+        Wa = np.ascontiguousarray(Wa, dtype=float).reshape(-1, 1)
+        wb = np.asarray(wb, dtype=float).reshape(-1, 1)
         m, n, k = self.m, self.n, self.k
         h = max(1, min(k, ROWSUM_BLOCK_ENTRIES // (m * n)))
-        R, S = np.empty((h, m, n)), np.empty((h, m, n))
-        Ut, Vt = self.U.T[:, None, :], self.V.T[:, :, None]
-        absVt = np.ascontiguousarray(np.abs(self.V.T))
+        left, right = np.empty((k, m, 2)), np.empty((k, 2, n))
+        left[:, :, 0], left[:, :, 1] = self.w, -self.V.T
+        right[:, 0], right[:, 1] = self.U.T, self.x
+        R = np.empty((h, m, n))
         # (k, 1, m) @ (m, 1) takes one unit-stride dot product per row
-        out = np.matmul(absVt[:, None, :], wb[:, None])[:, 0, 0]
+        out = np.matmul(np.abs(left[:, None, :, 1]), wb)[:, 0, 0]
         for i in range(0, k, h):
-            r, s = R[: k - i], S[: k - i]
-            np.multiply(self.w[:, None], Ut[i:i + h], out=r)
-            np.multiply(Vt[i:i + h], self.x, out=s)
-            r -= s
+            r = np.matmul(left[i:i + h], right[i:i + h], out=R[: k - i])
             np.abs(r, out=r)
-            r *= Wa
-            out[i:i + h] += r.sum(axis=(1, 2))
+            out[i:i + h] += np.matmul(r.reshape(-1, 1, m * n), Wa)[:, 0, 0]
         return out
 
     @cached_property

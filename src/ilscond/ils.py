@@ -140,9 +140,12 @@ class SpdFactor:
 
     @property
     def cond(self):
-        """2-norm condition of the triangular factor; cond(M) is its square."""
+        """2-norm condition of F (cond(M) is its square), capped at ``cond_upper``.
+
+        The SVD can return sigma_min = 0 for a nonsingular F far beyond 1/eps.
+        """
         sv = self.singular_values
-        return float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+        return float(min(sv[0] / sv[-1] if sv[-1] > 0 else np.inf, self.cond_upper))
 
     @property
     def cond_upper(self):
@@ -199,8 +202,8 @@ def _signed_gram(A, split):
 
 def _normal_factor(A, split):
     # certify A^T J A = F^T F for an A that checked_data has already validated;
-    # also returns the QR pieces (qr, tau, G) from which IlsProblem forms its
-    # right-hand side.  Its M is Ap^T Ap - Aq^T Aq, formed on first read.
+    # also returns the QR pieces (qr, tau, G; G None when C = I) from which
+    # IlsProblem forms its right-hand side.  Its M is Ap^T Ap - Aq^T Aq, formed on first read.
     m, n = A.shape
     if split.m != m:
         raise ValueError(f"signature split p+q={split.m} does not match m={m}")
@@ -209,20 +212,25 @@ def _normal_factor(A, split):
     bound = 1.0 / (max(m, n) * EPS)
     # R is the upper triangle of qr's leading n rows; LAPACK reads no further
     qr, tau, _, _ = dgeqrf(A)
-    QqT, info = dtrtrs(qr, A[split.p:].T, lower=0, trans=1, lda=m)
-    if info > 0:
-        raise NumericallySingular(_singular_message(np.inf, bound))
-    C = -2.0 * (QqT @ QqT.T)
-    C.flat[:: n + 1] += 1.0
-    C = 0.5 * (C + C.T)
-    try:
-        G = np.linalg.cholesky(C)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            "Q^T J Q (A = QR, congruent to A^T J A) is not positive definite; the "
-            "problem has no unique solution (smallest eigenvalue "
-            f"{float(np.linalg.eigvalsh(C)[0]):.3e})") from exc
-    factor = SpdFactor(dtrmm(1.0, qr, G.T, side=1), lambda: _signed_gram(A, split))
+    if not A[split.p:].any():
+        # A_q = 0 (every ex1 instance): C = Q^T J Q = I exactly, so G = I and F = R
+        G, F = None, np.triu(qr[:n])
+    else:
+        QqT, info = dtrtrs(qr, A[split.p:].T, lower=0, trans=1, lda=m)
+        if info > 0:
+            raise NumericallySingular(_singular_message(np.inf, bound))
+        C = -2.0 * (QqT @ QqT.T)
+        C.flat[:: n + 1] += 1.0
+        C = 0.5 * (C + C.T)
+        try:
+            G = np.linalg.cholesky(C)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(
+                "Q^T J Q (A = QR, congruent to A^T J A) is not positive definite; the "
+                "problem has no unique solution (smallest eigenvalue "
+                f"{float(np.linalg.eigvalsh(C)[0]):.3e})") from exc
+        F = dtrmm(1.0, qr, G.T, side=1)
+    factor = SpdFactor(F, lambda: _signed_gram(A, split))
     # the SVD decides only where the bound cannot
     if factor.cond_upper >= bound and factor.cond >= bound:
         raise NumericallySingular(_singular_message(factor.cond, bound))
@@ -289,7 +297,7 @@ class IlsProblem(SharedJacobian):
         # solve_ils needs only F and G^{-1} (Q^T J b)[:n], so the packed QR
         # is not kept; Q^T is applied by its reflectors, never formed
         qjb, _, _ = dormqr("L", "T", qr, tau, split.apply(b)[:, None], 1)
-        self._gqjb, _ = dtrtrs(G, qjb[:n], lower=1)
+        self._gqjb = qjb[:n] if G is None else dtrtrs(G, qjb[:n], lower=1)[0]
         self.ill_conditioned = (EPS * self.factor.cond_upper > 1e-3
                                 and EPS * self.factor.cond > 1e-3)
         if self.ill_conditioned:

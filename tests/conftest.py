@@ -83,6 +83,21 @@ def rowsums_oracle(jac, Wa, wb):
     return out
 
 
+def rowsums_error_bound(jac, Wa, wb):
+    """A-priori bound on how far two summation orders of |Mg| [vec(Wa); wb] can differ.
+
+    Each row sums m n + m nonnegative terms, the A-part ones each a rounded
+    |w_a U_cj - V_aj x_c|, so two orders differ by at most
+    2 (m n + m + 2) eps times the row's sum of term magnitudes
+    sum Wa o (|w| |u_j|^T + |v_j| |x|^T) + |v_j|^T wb.
+    """
+    Wa = np.asarray(Wa, dtype=float)
+    wb = np.asarray(wb, dtype=float).ravel()
+    absU, absV = np.abs(jac.U), np.abs(jac.V)
+    mags = (Wa.T @ np.abs(jac.w)) @ absU + (Wa @ np.abs(jac.x) + wb) @ absV
+    return 2 * (jac.m * jac.n + jac.m + 2) * np.finfo(float).eps * mags
+
+
 def directional_derivative(problem, L, dA, db):
     """Analytic derivative of L^T x along (dA, db), from its defining formula.
 

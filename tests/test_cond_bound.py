@@ -49,6 +49,22 @@ def test_bounds_enclose_the_svd_values(F):
         assert factor.sigma_min_lower <= factor.singular_values[-1]
 
 
+def test_cond_is_finite_where_the_svd_reads_a_zero_sigma_min():
+    # the values-only SVD returns sigma_min = 0 for this nonsingular F
+    F = np.array([[-1.6468013060558881e-21, 0.8298382510528441], [0.0, 2.451281517803502]])
+    factor = SpdFactor(F, None)
+    assert factor.singular_values[-1] == 0.0
+    assert np.isfinite(factor.cond_upper) and factor.cond == factor.cond_upper
+    # A = F has A_q = 0 and an upper-triangular QR, so its factor is F itself
+    with pytest.raises(NumericallySingular, match=r"cond\(F\) = 1\.22e\+27"):
+        IlsProblem(F, np.ones(2), SignatureSplit(2, 0))
+
+
+def test_cond_is_inf_only_with_an_infinite_bound():
+    factor = SpdFactor(np.array([[1.0, 2.0], [0.0, 0.0]]), None)
+    assert factor.cond_upper == np.inf and factor.cond == np.inf
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Count every read of SpdFactor.singular_values (the SVD of F)."""

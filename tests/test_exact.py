@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ilscond.exact
 from ilscond import (
@@ -19,7 +21,13 @@ from ilscond import TlsProblem
 from ilscond.exact import ROWSUM_BLOCK_ENTRIES, JacobianMg
 from ilscond.kron import ddagger, entrywise_div, vec
 
-from conftest import dense_mg_oracle, directional_derivative, random_ils, rowsums_oracle
+from conftest import (
+    dense_mg_oracle,
+    directional_derivative,
+    random_ils,
+    rowsums_error_bound,
+    rowsums_oracle,
+)
 
 
 def rel_err(a, b):
@@ -212,23 +220,40 @@ class TestWeightedGram:
         assert [kappa_unified(prob, p, 2, 2) for p in cases] == before
 
 
+def check_rowsums(jac, Wa, wb):
+    """The |Mg| row sums agree across block heights exactly, and with the row loop to rounding.
+
+    Block heights: one row per block (ROWSUM_BLOCK_ENTRIES = 1), the
+    default, and the whole map in one block (2^30).  Against the row-by-row
+    loop the a-priori bound is 2 (m n + m + 2) eps times the sum of the
+    magnitudes of the terms.
+    """
+    results = []
+    for entries in (1, ROWSUM_BLOCK_ENTRIES, 1 << 30):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ilscond.exact, "ROWSUM_BLOCK_ENTRIES", entries)
+            results.append(jac.abs_weighted_rowsums(Wa, wb))
+    for got in results[1:]:
+        assert np.array_equal(got, results[0])
+    assert np.all(np.abs(results[0] - rowsums_oracle(jac, Wa, wb))
+                  <= rowsums_error_bound(jac, Wa, wb))
+
+
 class TestBlockedRowsums:
-    """The blocked |Mg| row sums equal the row-by-row loop bit for bit."""
+    """The blocked |Mg| row sums: independent of the block height, the row loop's to rounding."""
 
     def test_partial_last_block(self, rng):
         prob = random_ils(rng, m=60, n=40)
         jac = prob.jacobian()
         height = ROWSUM_BLOCK_ENTRIES // (prob.m * prob.n)
         assert jac.k > height and jac.k % height != 0
-        Wa, wb = np.abs(prob.A), np.abs(prob.b)
-        assert np.array_equal(jac.abs_weighted_rowsums(Wa, wb), rowsums_oracle(jac, Wa, wb))
+        check_rowsums(jac, np.abs(prob.A), np.abs(prob.b))
 
     def test_one_row_per_block_above_the_cap(self, rng):
         prob = random_ils(rng, m=300, n=230)
         assert prob.m * prob.n > ROWSUM_BLOCK_ENTRIES
         jac = prob.jacobian(rng.standard_normal((prob.n, 3)))
-        Wa, wb = np.abs(prob.A), np.abs(prob.b)
-        assert np.array_equal(jac.abs_weighted_rowsums(Wa, wb), rowsums_oracle(jac, Wa, wb))
+        check_rowsums(jac, np.abs(prob.A), np.abs(prob.b))
 
     def test_elementwise_weights_with_zeros(self, rng):
         prob = random_ils(rng, m=50, n=30)
@@ -237,14 +262,34 @@ class TestBlockedRowsums:
         Wa[rng.random(Wa.shape) < 0.3] = 0.0
         wb = np.abs(rng.standard_normal(prob.m))
         wb[::4] = 0.0
-        assert np.array_equal(jac.abs_weighted_rowsums(Wa, wb), rowsums_oracle(jac, Wa, wb))
+        check_rowsums(jac, Wa, wb)
 
     def test_tls_jacobian(self, rng):
         A = rng.standard_normal((30, 8))
         tls = TlsProblem(A, A @ rng.standard_normal(8) + 0.3 * rng.standard_normal(30))
-        jac = tls.jacobian()
-        Wa, wb = np.abs(tls.A), np.abs(tls.b)
-        assert np.array_equal(jac.abs_weighted_rowsums(Wa, wb), rowsums_oracle(jac, Wa, wb))
+        check_rowsums(tls.jacobian(), np.abs(tls.A), np.abs(tls.b))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("ils", "tls")), st.booleans(),
+       st.floats(0.0, 0.9))
+def test_rowsums_property(seed, kind, consistent, zero_share):
+    """Small ILS and TLS maps, w = 0 (a consistent b) and zero weights included."""
+    rng = np.random.default_rng(seed)
+    if kind == "ils":
+        prob = random_ils(rng)
+    else:
+        m, n = int(rng.integers(4, 16)), int(rng.integers(1, 4))
+        A = rng.standard_normal((m, n))
+        prob = TlsProblem(A, A @ rng.standard_normal(n) + 0.3 * rng.standard_normal(m))
+    jac = prob.jacobian(rng.standard_normal((prob.n, int(rng.integers(1, prob.n + 1)))))
+    if consistent:
+        # the w -> 0 limit: r = 0 for a b in the range of A
+        jac = JacobianMg(np.zeros(jac.m), jac.U, jac.V, jac.x, jac.A, jac.b)
+    Wa = np.abs(rng.standard_normal((jac.m, jac.n)))
+    Wa[rng.random(Wa.shape) < zero_share] = 0.0
+    wb = np.abs(rng.standard_normal(jac.m))
+    wb[rng.random(jac.m) < zero_share] = 0.0
+    check_rowsums(jac, Wa, wb)
 
 
 class TestCondParamsValidation:

@@ -14,7 +14,7 @@ from ilscond import (
     solve_ils,
 )
 from ilscond import ils
-from ilscond.bench import gen_example2
+from ilscond.bench import gen_example1, gen_example2
 from ilscond.ils import SpdFactor
 
 from conftest import directional_derivative, random_ils
@@ -109,6 +109,28 @@ class TestQrCertificate:
         assert calls == []
         M = prob.M
         assert prob.M is M and len(calls) == 1
+
+    @pytest.mark.parametrize("gen, cholesky_calls", [
+        pytest.param(lambda: gen_example1(60, 25, 40, 3, 1.0, 0), 0, id="ex1-Aq-zero"),
+        pytest.param(lambda: gen_example2(60, 25, 40, 1e4, 1.0, 0), 1, id="ex2"),
+    ])
+    def test_cholesky_of_c_skipped_when_aq_is_zero(self, gen, cholesky_calls, monkeypatch):
+        # A_q = 0 makes C = Q^T J Q = I exactly, so F = R is taken without a Cholesky
+        calls = []
+        original = np.linalg.cholesky
+
+        def counted(C):
+            calls.append(C.shape)
+            return original(C)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        prob, _, _ = gen()
+        assert len(calls) == cholesky_calls
+        assert np.all(prob.A[prob.p:] == 0) == (cholesky_calls == 0)
+        # the solution still satisfies A^T J r = 0
+        r = prob.solution.r
+        assert np.linalg.norm(prob.A.T @ prob.j_apply(r)) <= 1e-12 * (
+            np.linalg.norm(prob.A) * np.linalg.norm(r) + np.linalg.norm(prob.A.T @ prob.b))
 
     def test_numerically_singular_names_the_bound(self, rng):
         Q, _ = np.linalg.qr(rng.standard_normal((12, 4)))

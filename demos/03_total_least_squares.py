@@ -13,6 +13,8 @@ import numpy as np
 
 from ilscond import (
     CondParams,
+    IlsProblem,
+    SignatureSplit,
     kappa_2tls,
     kappa_componentwise_tls,
     kappa_composed_ils,
@@ -38,8 +40,10 @@ print(f"agrees with the SVD route to {np.linalg.norm(tls.x - x_svd):.2e}")
 
 params = CondParams()
 direct = kappa_2tls(tls, params)
-# tls.stacked is the ILS problem on [A; sigma I] with signature diag(I_m, -I_n)
-composed = kappa_composed_ils(tls.stacked, tls_blocks(tls), params)
+# the ILS problem on [A; sigma I] with signature diag(I_m, -I_n)
+stacked = IlsProblem(np.vstack([A, tls.sigma_tilde * np.eye(n)]),
+                     np.concatenate([b, np.zeros(n)]), SignatureSplit(m, n))
+composed = kappa_composed_ils(stacked, tls_blocks(tls), params)
 gap = abs(direct - composed) / direct
 print(f"\nkappa_2 direct form:    {direct:.6e}")
 print(f"kappa_2 composed route: {composed:.6e}  (relative gap {gap:.1e})")

@@ -33,7 +33,6 @@ from .ils import (
     NotPositiveDefinite,
     NumericallySingular,
     SignatureSplit,
-    solve_ils,
 )
 from .kron import entrywise_div, unvec, vec
 from .probfile import load_problem, save_problem
@@ -100,7 +99,6 @@ __all__ = [
     "load_problem",
     "make_basis",
     "save_problem",
-    "solve_ils",
     "solve_tls",
     "spectral_interval",
     "tls_blocks",

@@ -21,11 +21,8 @@ import scipy.linalg
 from .estimate import SsceConfig, estimate_kappa2_pce, estimate_kappa2_ssce, \
     estimate_kappa_inf_ssce
 from .exact import CondParams, ConditionReport, kappa_2ils
-from .ils import (IllConditionedWarning, IlsProblem, NotPositiveDefinite, NumericallySingular,
-                  SignatureSplit)
+from .ils import IllConditionedWarning, IlsProblem, NotPositiveDefinite, SignatureSplit
 from .structured import StructuredParams, make_basis
-
-MAX_GENERATION_ATTEMPTS = 20
 
 
 def _planted_xr(m, n, rho, rng):
@@ -35,27 +32,6 @@ def _planted_xr(m, n, rho, rng):
     return x, r
 
 
-def _first_definite(draw):
-    """Call draw() until it builds a positive definite instance.
-
-    Gives up after MAX_GENERATION_ATTEMPTS draws with NotPositiveDefinite,
-    chained to the last failure.  NumericallySingular passes through on the
-    first draw: every generator fixes its spectrum by construction, so a
-    fresh draw cannot cure it.
-    """
-    last_exc = None
-    for _ in range(MAX_GENERATION_ATTEMPTS):
-        try:
-            return draw()
-        except NumericallySingular:
-            raise
-        except NotPositiveDefinite as exc:
-            last_exc = exc
-    raise NotPositiveDefinite(
-        f"no positive definite instance in {MAX_GENERATION_ATTEMPTS} attempts"
-    ) from last_exc
-
-
 def gen_example1(m, n, p, l, rho, seed):
     """Graded-spectrum instance: kappa(A) = n**l by construction.
 
@@ -63,9 +39,8 @@ def gen_example1(m, n, p, l, rho, seed):
     D = n^{-l} diag(n^l, (n-1)^l, ..., 1); the solution is planted as
     x = (1, 4, ..., n^2) and b = A x + r with ||r|| = rho.  Both reflectors
     keep the trailing q rows of [D; 0] zero, so A_q = 0: Q^T J Q = I and the
-    indefiniteness lives in b alone.  Regenerates with fresh draws (up to 20)
-    if rounding spoils definiteness; a numerically singular A (n**l at or
-    beyond 1/(max(m, n) eps)) raises NumericallySingular at once.
+    indefiniteness lives in b alone.  A numerically singular A (n**l at or
+    beyond 1/(max(m, n) eps)) raises NumericallySingular.
 
     Returns (problem, planted_x, planted_r).
     """
@@ -73,24 +48,20 @@ def gen_example1(m, n, p, l, rho, seed):
         raise ValueError("need n <= p < m")
     q = m - p
     rng = np.random.default_rng(seed)
-
-    def draw():
-        up = rng.standard_normal(p)
-        up /= np.linalg.norm(up)
-        uq = rng.standard_normal(q)
-        uq /= np.linalg.norm(uq)
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        T = np.zeros((m, n))
-        T[:n, :n] = np.diag(np.arange(n, 0, -1.0) ** l / float(n) ** l)
-        T[:p] -= 2.0 * np.outer(up, up @ T[:p])
-        T[p:] -= 2.0 * np.outer(uq, uq @ T[p:])
-        A = T - 2.0 * np.outer(T @ v, v)
-        x, r = _planted_xr(m, n, rho, rng)
-        b = A @ x + r
-        return IlsProblem(A, b, SignatureSplit(p, q)), x, r
-
-    return _first_definite(draw)
+    up = rng.standard_normal(p)
+    up /= np.linalg.norm(up)
+    uq = rng.standard_normal(q)
+    uq /= np.linalg.norm(uq)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    T = np.zeros((m, n))
+    T[:n, :n] = np.diag(np.arange(n, 0, -1.0) ** l / float(n) ** l)
+    T[:p] -= 2.0 * np.outer(up, up @ T[:p])
+    T[p:] -= 2.0 * np.outer(uq, uq @ T[p:])
+    A = T - 2.0 * np.outer(T @ v, v)
+    x, r = _planted_xr(m, n, rho, rng)
+    b = A @ x + r
+    return IlsProblem(A, b, SignatureSplit(p, q)), x, r
 
 
 def _orthonormal(rng, rows, cols):
@@ -106,7 +77,10 @@ def gen_example2(m, n, p, kappa, rho, seed):
     """Stacked orthogonal instance [Q1 D U; Q2 D U / 2] with graded D.
 
     The diagonal of D runs geometrically from 1/kappa up to 1, so
-    kappa(A) = kappa.  Returns (problem, planted_x, planted_r).
+    kappa(A) = kappa.  A = [Q1; Q2 / 2] D U, so Q^T J Q is similar to
+    (I + P/4)^{-1} (I - P/4) with P = Q2^T Q2 a projector: its eigenvalues
+    are 1 and 0.6 for any shape, and every draw is definite.  Returns
+    (problem, planted_x, planted_r).
     """
     if p < n or p >= m:
         raise ValueError("need n <= p < m")
@@ -114,27 +88,24 @@ def gen_example2(m, n, p, kappa, rho, seed):
         raise ValueError("need n >= 2")
     q = m - p
     rng = np.random.default_rng(seed)
-
-    def draw():
-        Q1 = _orthonormal(rng, p, n)
-        Q2 = _orthonormal(rng, q, n)
-        Uo = _orthonormal(rng, n, n)
-        d = kappa ** (-(n - 1.0 - np.arange(n)) / (n - 1.0))
-        DU = d[:, None] * Uo
-        A = np.vstack([Q1 @ DU, 0.5 * (Q2 @ DU)])
-        x, r = _planted_xr(m, n, rho, rng)
-        b = A @ x + r
-        return IlsProblem(A, b, SignatureSplit(p, q)), x, r
-
-    return _first_definite(draw)
+    Q1 = _orthonormal(rng, p, n)
+    Q2 = _orthonormal(rng, q, n)
+    Uo = _orthonormal(rng, n, n)
+    d = kappa ** (-(n - 1.0 - np.arange(n)) / (n - 1.0))
+    DU = d[:, None] * Uo
+    A = np.vstack([Q1 @ DU, 0.5 * (Q2 @ DU)])
+    x, r = _planted_xr(m, n, rho, rng)
+    b = A @ x + r
+    return IlsProblem(A, b, SignatureSplit(p, q)), x, r
 
 
 def gen_example3(n, rho, seed):
     """Stacked Toeplitz instance A = [B; B/2] with Gaussian generators.
 
     B is a nonsymmetric random Toeplitz n x n block; p = q = n, so the
-    normal matrix is (3/4) B^T B, positive definite whenever B is
-    nonsingular.  Only A is structured; b keeps the full (unstructured)
+    normal matrix is (3/4) B^T B against A^T A = (5/4) B^T B: every
+    eigenvalue of Q^T J Q is 0.6, and the instance is definite whenever B
+    is nonsingular.  Only A is structured; b keeps the full (unstructured)
     basis.  Returns (problem, structured_params, planted_x, planted_r).
     """
     if n < 2:
@@ -144,18 +115,14 @@ def gen_example3(n, rho, seed):
     basis_a = make_basis("stacked_scaled", m, n, base_kind="toeplitz", scale=0.5)
     basis_b = make_basis("full", m)
     sparams = StructuredParams(basis_a, basis_b)
-
-    def draw():
-        c = rng.standard_normal(n)
-        row = rng.standard_normal(n)
-        row[0] = c[0]
-        B = scipy.linalg.toeplitz(c, row)
-        A = np.vstack([B, 0.5 * B])
-        x, r = _planted_xr(m, n, rho, rng)
-        b = A @ x + r
-        return IlsProblem(A, b, SignatureSplit(n, n)), sparams, x, r
-
-    return _first_definite(draw)
+    c = rng.standard_normal(n)
+    row = rng.standard_normal(n)
+    row[0] = c[0]
+    B = scipy.linalg.toeplitz(c, row)
+    A = np.vstack([B, 0.5 * B])
+    x, r = _planted_xr(m, n, rho, rng)
+    b = A @ x + r
+    return IlsProblem(A, b, SignatureSplit(n, n)), sparams, x, r
 
 
 @dataclass
@@ -423,8 +390,9 @@ def run_experiment(config):
 
     Deterministic for a fixed config and seed: every trial draws from its own
     spawned generator, so trials are independent and may be evaluated in any
-    order.  Trials whose generator cannot reach a positive definite instance
-    are excluded and counted in ``failures``.
+    order.  Trials whose instance raises NotPositiveDefinite (in practice its
+    subclass NumericallySingular: every generator is definite by
+    construction) are excluded and counted in ``failures``.
     """
     t0 = time.perf_counter()
     result = ExperimentResult(config=config)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kron import ddagger, entrywise_div, vec
+from .kron import checked_data, ddagger, entrywise_div, vec
 
 DENSE_ENTRY_GUARD = 50_000_000
 ROWSUM_BLOCK_ENTRIES = 1 << 16
@@ -52,9 +52,10 @@ class CondParams:
     def l_matrix(self, n):
         if self.L is None:
             return np.eye(n)
-        L = np.atleast_2d(np.asarray(self.L, dtype=float))
+        L = np.atleast_2d(np.asarray(self.L))
         if L.shape[0] == 1 and n > 1 and L.shape[1] == n:
             L = L.T
+        L = checked_data("L", L, matrix=True)
         if L.shape[0] != n:
             raise ValueError(f"L must have {n} rows, got {L.shape[0]}")
         if L.shape[1] > n:
@@ -269,7 +270,7 @@ class SharedJacobian:
             if self._identity_jacobian is None:
                 self._identity_jacobian = self._build_jacobian(None)
             return self._identity_jacobian
-        L = np.asarray(L, dtype=float)
+        L = checked_data("L", L, matrix=True)
         key = (L.shape, L.tobytes())
         if self._explicit_jacobian[0] != key:
             self._explicit_jacobian = (key, self._build_jacobian(L))

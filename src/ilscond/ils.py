@@ -1,4 +1,4 @@
-"""Indefinite least squares instances: definiteness check, solve, M^{-1} products.
+"""Indefinite least squares instances: definiteness check, solution, M^{-1} products.
 
 An instance minimizes (b - Ax)^T J (b - Ax) with J = diag(I_p, -I_q).  It has
 a unique solution x = M^{-1} A^T J b exactly when M = A^T J A is positive
@@ -21,6 +21,7 @@ from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dgeqrf, dormqr, dpotrs, dtrtri, dtrtrs
 
 from .exact import JacobianMg, SharedJacobian
+from .kron import checked_data
 
 
 class NotPositiveDefinite(np.linalg.LinAlgError):
@@ -54,26 +55,6 @@ def _caller_stacklevel():
     return level
 
 
-def checked_data(name, value, matrix):
-    """``value`` as a real, finite float matrix (matrix=True) or flat vector.
-
-    The boundary check of every problem constructor: complex or non-finite
-    input raises ValueError naming the argument instead of being truncated
-    to its real part or failing inside LAPACK.
-    """
-    arr = np.asarray(value)
-    if np.iscomplexobj(arr):
-        raise ValueError(f"{name} must be real, got complex entries")
-    arr = np.asarray(arr, dtype=float)
-    if not matrix:
-        arr = arr.ravel()
-    elif arr.ndim != 2:
-        raise ValueError(f"{name} must be a matrix")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True)
 class SignatureSplit:
     """Signature (p, q): +1 on the first p coordinates, -1 on the last q.
@@ -104,17 +85,12 @@ class SignatureSplit:
         out[self.p:] = -out[self.p:]
         return out
 
-    def signs(self):
-        s = np.ones(self.m)
-        s[self.p:] = -1.0
-        return s
-
 
 class SpdFactor:
     """Certified factor M = F^T F of a symmetric positive definite matrix.
 
     Wraps the upper-triangular F that _normal_factor certifies from A's QR
-    factorization; form_m() builds M itself only when ``M`` is read.
+    factorization; M itself is never formed.
 
     ``cond_upper`` and ``sigma_min_lower`` bound cond(F) from above and
     sigma_min(F) from below without an SVD, from one triangular inverse and
@@ -123,15 +99,10 @@ class SpdFactor:
     SVD, taken only when read.
     """
 
-    def __init__(self, F, form_m):
+    def __init__(self, F):
         # the column-major lower factor is what LAPACK potrs reads without a copy
         self.chol = np.asfortranarray(F.T)
         self.n = F.shape[0]
-        self._form_m = form_m
-
-    @cached_property
-    def M(self):
-        return self._form_m()
 
     @cached_property
     def singular_values(self):
@@ -193,17 +164,10 @@ class SpdFactor:
         return out[:, 0] if single else out
 
 
-def _signed_gram(A, split):
-    Ap = A[: split.p]
-    Aq = A[split.p:]
-    M = Ap.T @ Ap - Aq.T @ Aq
-    return 0.5 * (M + M.T)
-
-
 def _normal_factor(A, split):
     # certify A^T J A = F^T F for an A that checked_data has already validated;
     # also returns the QR pieces (qr, tau, G; G None when C = I) from which
-    # IlsProblem forms its right-hand side.  Its M is Ap^T Ap - Aq^T Aq, formed on first read.
+    # IlsProblem forms its solution
     m, n = A.shape
     if split.m != m:
         raise ValueError(f"signature split p+q={split.m} does not match m={m}")
@@ -230,7 +194,7 @@ def _normal_factor(A, split):
                 "problem has no unique solution (smallest eigenvalue "
                 f"{float(np.linalg.eigvalsh(C)[0]):.3e})") from exc
         F = dtrmm(1.0, qr, G.T, side=1)
-    factor = SpdFactor(F, lambda: _signed_gram(A, split))
+    factor = SpdFactor(F)
     # the SVD decides only where the bound cannot
     if factor.cond_upper >= bound and factor.cond >= bound:
         raise NumericallySingular(_singular_message(factor.cond, bound))
@@ -271,8 +235,13 @@ class IlsProblem(SharedJacobian):
     exactly the interesting regime.  Both checks read the factor's
     SVD-free ``cond_upper`` first and take the SVD of F only when that
     bound reaches the threshold, so their outcome is the SVD's.  Warnings
-    name the first caller outside the package.  ``M`` (A^T J A itself) is
-    formed only when read.
+    name the first caller outside the package.
+
+    Construction also solves M x = A^T J b as x = F^{-1} G^{-1} (Q^T J b)[:n],
+    that is x = R^{-1} C^{-1} (Q^T J b)[:n], and keeps ``solution``, x with
+    its residual r = b - A x.  Going through A^T J b and the factor of M
+    instead (the seminormal equations) would cost an error of order
+    eps cond(A)^2 ||b|| / (||A|| ||x||).  A^T J A itself is never formed.
     """
 
     def __init__(self, A, b, split):
@@ -294,10 +263,11 @@ class IlsProblem(SharedJacobian):
         self.m = m
         self.n = n
         self.factor, (qr, tau, G) = _normal_factor(A, split)
-        # solve_ils needs only F and G^{-1} (Q^T J b)[:n], so the packed QR
-        # is not kept; Q^T is applied by its reflectors, never formed
+        # Q^T is applied by its reflectors, never formed
         qjb, _, _ = dormqr("L", "T", qr, tau, split.apply(b)[:, None], 1)
-        self._gqjb = qjb[:n] if G is None else dtrtrs(G, qjb[:n], lower=1)[0]
+        gqjb = qjb[:n] if G is None else dtrtrs(G, qjb[:n], lower=1)[0]
+        x = dtrtrs(self.factor.chol, gqjb, lower=1, trans=1)[0][:, 0]
+        self.solution = IlsSolution(x=x, r=b - A @ x)
         self.ill_conditioned = (EPS * self.factor.cond_upper > 1e-3
                                 and EPS * self.factor.cond > 1e-3)
         if self.ill_conditioned:
@@ -307,11 +277,6 @@ class IlsProblem(SharedJacobian):
                 IllConditionedWarning,
                 stacklevel=_caller_stacklevel(),
             )
-
-    @property
-    def M(self):
-        """A^T J A, formed explicitly on first read (no computation needs it)."""
-        return self.factor.M
 
     @property
     def p(self):
@@ -331,20 +296,3 @@ class IlsProblem(SharedJacobian):
 
     def _build_jacobian(self, L):
         return JacobianMg.for_ils(self, L)
-
-    @cached_property
-    def solution(self):
-        return solve_ils(self)
-
-
-def solve_ils(problem):
-    """Solve M x = A^T J b as x = F^{-1} G^{-1} (Q^T J b)[:n]; r = b - A x.
-
-    That is x = R^{-1} C^{-1} (Q^T J b)[:n].  Going through A^T J b and the
-    factor of M instead (the seminormal equations) would cost an error of
-    order eps cond(A)^2 ||b|| / (||A|| ||x||).
-    """
-    x, _ = dtrtrs(problem.factor.chol, problem._gqjb, lower=1, trans=1)
-    x = x[:, 0]
-    r = problem.b - problem.A @ x
-    return IlsSolution(x=x, r=r)

@@ -1,4 +1,4 @@
-"""Column-major vec and the 0^ddagger division rule shared by every formula.
+"""Column-major vec, the 0^ddagger division rule, and the check of input data.
 
 All vectorization in this package is column-major: for an m x n matrix A,
 vec(A)[j*m + i] = A[i, j] (0-based).  The first-order map acts on vec(dA)
@@ -7,6 +7,28 @@ product is needed; the tests build those only for their dense oracles.
 """
 
 import numpy as np
+
+
+def checked_data(name, value, matrix):
+    """``value`` as a real, finite float matrix (matrix=True) or flat vector.
+
+    The boundary check of every problem constructor and of L: complex or
+    non-finite input raises ValueError naming the argument instead of being
+    truncated to its real part or failing inside LAPACK.
+    """
+    arr = np.asarray(value)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real, got complex entries")
+    arr = np.asarray(arr, dtype=float)
+    if not matrix:
+        arr = arr.ravel()
+    elif arr.ndim != 2:
+        raise ValueError(f"{name} must be a matrix")
+    elif arr.shape[1] == 0:
+        raise ValueError(f"{name} has no columns")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
 
 
 def entrywise_div(a, b):

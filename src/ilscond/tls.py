@@ -17,8 +17,8 @@ import numpy as np
 
 from .exact import (CondParams, JacobianMg, SharedJacobian, _induced_norm, kappa_2ils,
                     kappa_componentwise, kappa_mixed)
-from .ils import IlsProblem, NotPositiveDefinite, SignatureSplit, checked_data
-from .kron import ddagger, vec
+from .ils import IlsProblem, NotPositiveDefinite, SignatureSplit
+from .kron import checked_data, ddagger, vec
 
 # relative gap below which sigma_tilde is not separated from sigma_n(A)
 GAP_TOL = 1e-10
@@ -34,20 +34,22 @@ class TlsProblem(SharedJacobian):
     """A generic total least squares instance, solved as its stacked ILS problem.
 
     Construction computes sigma_tilde, the smallest singular value of
-    [A, b], and certifies ``stacked``, the IlsProblem on [A; sigma_tilde I_n],
-    [b; 0] with signature diag(I_m, -I_n), whose A^T J A is
+    [A, b], and solves the IlsProblem on [A; sigma_tilde I_n], [b; 0] with
+    signature diag(I_m, -I_n), whose A^T J A is
     Mt = A^T A - sigma_tilde^2 I.  Its QR route gives x = Mt^{-1} A^T b, the
     residual r = b - A x (the first m entries of the stacked residual) and
-    every Mt^{-1} product, with errors that grow with cond(A), not cond(Mt).
-    sigma_n(A) = hypot(sigma_min(F), sigma_tilde) for Mt = F^T F, and the
-    instance is generic when sigma_tilde sits below it with relative gap at
-    least GAP_TOL.  The gap is checked first at the lower bound
+    ``factor``, the certified Mt = F^T F behind every Mt^{-1} product, with
+    errors that grow with cond(A), not cond(Mt).  Only these and
+    ``ill_conditioned`` are kept, not the stacked copy of A.
+    sigma_n(A) = hypot(sigma_min(F), sigma_tilde), and the instance is
+    generic when sigma_tilde sits below it with relative gap at least
+    GAP_TOL.  The gap is checked first at the lower bound
     hypot(F.sigma_min_lower, sigma_tilde) of sigma_n; the exact ``sigma_n``
     (one values-only SVD of F) is computed only when that bound cannot
     decide, or when read.  A failed certificate or gap raises TlsNotGeneric;
-    complex or non-finite data raises ValueError naming the argument.  The
-    stacked problem issues IllConditionedWarning as any IlsProblem does,
-    attributed to the line that built the TlsProblem.
+    complex, non-finite or column-free data raises ValueError naming the
+    argument.  The stacked problem issues IllConditionedWarning as any
+    IlsProblem does, attributed to the line that built the TlsProblem.
     """
 
     def __init__(self, A, b):
@@ -62,15 +64,17 @@ class TlsProblem(SharedJacobian):
         sv_full = np.linalg.svd(full, compute_uv=False)
         self.sigma_tilde = float(sv_full[-1])
         try:
-            self.stacked = IlsProblem(np.vstack([A, self.sigma_tilde * np.eye(n)]),
-                                      np.concatenate([b, np.zeros(n)]), SignatureSplit(m, n))
+            stacked = IlsProblem(np.vstack([A, self.sigma_tilde * np.eye(n)]),
+                                 np.concatenate([b, np.zeros(n)]), SignatureSplit(m, n))
         except NotPositiveDefinite as exc:
             raise TlsNotGeneric(
                 "A^T A - sigma_tilde^2 I lost definiteness numerically"
             ) from exc
+        self.factor = stacked.factor
+        self.ill_conditioned = stacked.ill_conditioned
         # the gap holds at sigma_n if it holds at this lower bound of it; only
         # when it does not is the exact sigma_n (one SVD of F) needed
-        lower = float(np.hypot(self.stacked.factor.sigma_min_lower, self.sigma_tilde))
+        lower = float(np.hypot(self.factor.sigma_min_lower, self.sigma_tilde))
         if (lower - self.sigma_tilde < GAP_TOL * lower
                 and self.sigma_n - self.sigma_tilde < GAP_TOL * self.sigma_n):
             raise TlsNotGeneric(
@@ -81,23 +85,17 @@ class TlsProblem(SharedJacobian):
         self.b = b
         self.m = m
         self.n = n
-        sol = self.stacked.solution
-        self.x = sol.x
-        self.r = sol.r[:m]
+        self.x = stacked.solution.x
+        self.r = stacked.solution.r[:m]
 
     @cached_property
     def sigma_n(self):
         """Smallest singular value of A, hypot(sigma_min(F), sigma_tilde) for Mt = F^T F."""
-        return float(np.hypot(self.stacked.factor.singular_values[-1], self.sigma_tilde))
-
-    @property
-    def Mt(self):
-        """A^T A - sigma_tilde^2 I, the stacked problem's M, formed only when read."""
-        return self.stacked.M
+        return float(np.hypot(self.factor.singular_values[-1], self.sigma_tilde))
 
     def apply_minv(self, V):
-        """Compute Mt^{-1} V with the stacked problem's certified factor."""
-        return self.stacked.apply_minv(V)
+        """Compute Mt^{-1} V with the certified factor."""
+        return self.factor.solve(V)
 
     def _build_jacobian(self, L):
         return tls_jacobian(self, L)

@@ -43,6 +43,13 @@ def random_ils(rng, m=None, n=None, damp=0.35, rho=None):
     raise RuntimeError("could not draw a positive definite instance")
 
 
+def signed_gram(A, split):
+    """A^T J A = A_p^T A_p - A_q^T A_q, formed for the oracles; the library never forms it."""
+    Ap, Aq = A[: split.p], A[split.p:]
+    M = Ap.T @ Ap - Aq.T @ Aq
+    return 0.5 * (M + M.T)
+
+
 def dense_vec_perm(m, n):
     """Dense vec-permutation matrix, built entry by entry from its definition."""
     P = np.zeros((m * n, m * n))
@@ -65,8 +72,8 @@ def dense_mg_oracle(problem, L=None):
     sol = problem.solution
     x, r = sol.x, sol.r
     Jr = problem.j_apply(r)
-    LtMinv = np.linalg.solve(problem.M, L).T
-    LtMinvAtJ = LtMinv @ (A.T * problem.split.signs()[None, :])
+    LtMinv = np.linalg.solve(signed_gram(A, problem.split), L).T
+    LtMinvAtJ = LtMinv @ (A.T * problem.split.apply(np.ones(m))[None, :])
     P = dense_vec_perm(m, n)
     blockA = np.kron(Jr[None, :], LtMinv) @ P - np.kron(x[None, :], LtMinvAtJ)
     return np.hstack([blockA, LtMinvAtJ])
@@ -106,9 +113,10 @@ def directional_derivative(problem, L, dA, db):
     sol = problem.solution
     x, r = sol.x, sol.r
     A = problem.A
-    term1 = np.linalg.solve(problem.M, dA.T @ problem.j_apply(r))
-    term2 = np.linalg.solve(problem.M, A.T @ problem.j_apply(dA @ x))
-    term3 = np.linalg.solve(problem.M, A.T @ problem.j_apply(db))
+    M = signed_gram(A, problem.split)
+    term1 = np.linalg.solve(M, dA.T @ problem.j_apply(r))
+    term2 = np.linalg.solve(M, A.T @ problem.j_apply(dA @ x))
+    term3 = np.linalg.solve(M, A.T @ problem.j_apply(db))
     return L.T @ (term1 - term2 + term3)
 
 

@@ -3,11 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ilscond import NotPositiveDefinite, NumericallySingular, load_problem, save_problem
+from ilscond import NumericallySingular, load_problem, save_problem
 from ilscond import bench
 from ilscond.bench import (
-    MAX_GENERATION_ATTEMPTS,
     ExperimentConfig,
     gen_example1,
     gen_example2,
@@ -18,6 +19,8 @@ from ilscond.bench import (
     table3_config,
 )
 from ilscond.cli import main as cli_main
+
+from conftest import signed_gram
 
 # the graded families deliberately reach the near-singular regime
 pytestmark = pytest.mark.filterwarnings("ignore::ilscond.ils.IllConditionedWarning")
@@ -57,7 +60,8 @@ class TestGenerators:
     def test_example3_normal_matrix_identity(self, rng):
         prob, sparams, x, r = gen_example3(6, 1.0, rng)
         B = prob.A[:6]
-        np.testing.assert_allclose(prob.M, 0.75 * (B.T @ B), rtol=1e-10)
+        np.testing.assert_allclose(signed_gram(prob.A, prob.split), 0.75 * (B.T @ B),
+                                   rtol=1e-10)
         np.testing.assert_array_equal(prob.A[6:], 0.5 * B)
 
     def test_example3_structure_membership(self, rng):
@@ -70,8 +74,45 @@ class TestGenerators:
         assert np.linalg.norm(prob.b - prob.A @ x) == pytest.approx(2.5, rel=1e-12)
 
 
+@st.composite
+def generated_instances(draw):
+    """(problem, spectrum) for a generator at a random shape, condition and seed.
+
+    ``spectrum`` is the set the eigenvalues of C = Q^T J Q must lie in.
+    """
+    example = draw(st.sampled_from(["ex1", "ex2", "ex3"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if example == "ex3":
+        problem, _, _, _ = gen_example3(draw(st.integers(2, 12)), 1.0, seed)
+        return problem, [0.6]
+    n = draw(st.integers(2, 10))
+    p = draw(st.integers(n, n + 8))
+    # q < n is included
+    m = p + draw(st.integers(1, n + 4))
+    if example == "ex1":
+        l = draw(st.integers(0, 3))
+        return gen_example1(m, n, p, l, 1.0, seed)[0], [1.0]
+    kappa = 10.0 ** draw(st.floats(0, 12))
+    return gen_example2(m, n, p, kappa, 1.0, seed)[0], [0.6, 1.0]
+
+
+@given(generated_instances())
+def test_generators_are_definite_by_construction(instance):
+    # C = R^{-T} M R^{-1} = Q^T J Q (A = QR) is congruent to M = A^T J A; its
+    # spectrum is fixed by each generator's structure, so its Cholesky cannot
+    # fail and one draw per instance suffices.  C is formed from Q: through a
+    # formed M it would carry an error of order eps cond(A)^2.  Rounding A
+    # itself tilts range(A) by O(eps cond(A)), which moves the eigenvalue 0.6
+    # of ex2 by up to about 0.4 eps cond(A) (9e-5 at cond(A) = 1e12)
+    problem, spectrum = instance
+    Q, _ = np.linalg.qr(problem.A)
+    eig = np.linalg.eigvalsh(signed_gram(Q, problem.split))
+    tol = 1e-12 + 10 * problem.n * np.finfo(float).eps * np.linalg.cond(problem.A)
+    assert np.min(np.abs(eig[:, None] - np.array(spectrum)[None, :]), axis=1).max() <= tol
+
+
 class TestGenerationAttempts:
-    """Numerically singular draws are not retried; the published full-size cells certify."""
+    """Every generator builds its instance from one draw; the published full-size cells certify."""
 
     def _count_draws(self, monkeypatch):
         draws = []
@@ -83,21 +124,6 @@ class TestGenerationAttempts:
 
         monkeypatch.setattr(bench, "IlsProblem", counted)
         return draws
-
-    @pytest.mark.parametrize("exc, attempts", [
-        (NumericallySingular("singular"), 1),
-        (NotPositiveDefinite("indefinite"), MAX_GENERATION_ATTEMPTS),
-    ])
-    def test_first_definite_retries_only_indefinite_draws(self, exc, attempts):
-        calls = []
-
-        def draw():
-            calls.append(1)
-            raise exc
-
-        with pytest.raises(type(exc)):
-            bench._first_definite(draw)
-        assert len(calls) == attempts
 
     def test_full_table1_n9_excluded_after_one_draw(self, monkeypatch):
         # cond(A) = 120^9 ~ 5e18 lies beyond 1/(max(m, n) eps) ~ 2e13

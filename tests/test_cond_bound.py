@@ -43,7 +43,7 @@ def test_bounds_enclose_the_svd_values(F):
     # beyond 1/eps the SVD's cond is rounding noise (it may read inf); every
     # threshold the checks use lies below 1/eps, so there the bound need only
     # reach 1/eps for the fallback to run
-    factor = SpdFactor(F, None)
+    factor = SpdFactor(F)
     if factor.cond_upper < 1.0 / EPS:
         assert factor.cond <= factor.cond_upper
         assert factor.sigma_min_lower <= factor.singular_values[-1]
@@ -52,7 +52,7 @@ def test_bounds_enclose_the_svd_values(F):
 def test_cond_is_finite_where_the_svd_reads_a_zero_sigma_min():
     # the values-only SVD returns sigma_min = 0 for this nonsingular F
     F = np.array([[-1.6468013060558881e-21, 0.8298382510528441], [0.0, 2.451281517803502]])
-    factor = SpdFactor(F, None)
+    factor = SpdFactor(F)
     assert factor.singular_values[-1] == 0.0
     assert np.isfinite(factor.cond_upper) and factor.cond == factor.cond_upper
     # A = F has A_q = 0 and an upper-triangular QR, so its factor is F itself
@@ -61,7 +61,7 @@ def test_cond_is_finite_where_the_svd_reads_a_zero_sigma_min():
 
 
 def test_cond_is_inf_only_with_an_infinite_bound():
-    factor = SpdFactor(np.array([[1.0, 2.0], [0.0, 0.0]]), None)
+    factor = SpdFactor(np.array([[1.0, 2.0], [0.0, 0.0]]))
     assert factor.cond_upper == np.inf and factor.cond == np.inf
 
 

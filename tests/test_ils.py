@@ -5,19 +5,21 @@ import pytest
 import scipy.linalg
 
 from ilscond import (
+    CondParams,
     IllConditionedWarning,
     IlsProblem,
     NotPositiveDefinite,
     NumericallySingular,
     SignatureSplit,
+    TlsProblem,
+    estimate_kappa2_pce,
     kappa_2ils,
-    solve_ils,
+    kappa_unified,
 )
-from ilscond import ils
 from ilscond.bench import gen_example1, gen_example2
 from ilscond.ils import SpdFactor
 
-from conftest import directional_derivative, random_ils
+from conftest import directional_derivative, random_ils, signed_gram
 
 
 class TestSignatureSplit:
@@ -47,8 +49,8 @@ class TestCheckSpd:
     def test_gram_case(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((10, 4))
-        factor = IlsProblem(A, np.zeros(10), SignatureSplit(10, 0)).factor
-        M, chol = factor.M, factor.chol
+        chol = IlsProblem(A, np.zeros(10), SignatureSplit(10, 0)).factor.chol
+        M = signed_gram(A, SignatureSplit(10, 0))
         np.testing.assert_allclose(M, A.T @ A, rtol=1e-14)
         np.testing.assert_allclose(chol @ chol.T, M, rtol=0, atol=1e-12)
 
@@ -68,9 +70,8 @@ class TestCheckSpd:
             np.outer(A[0], A[0]) + np.outer(A[1], A[1]) - np.outer(A[2], A[2])
         )
         np.testing.assert_array_equal(expected, [[3.0, -1.0], [-1.0, 3.0]])
-        M = IlsProblem(A, np.zeros(3), SignatureSplit(2, 1)).M
-        np.testing.assert_array_equal(M, expected)
-        np.testing.assert_allclose(np.linalg.eigvalsh(M), [2.0, 4.0], rtol=1e-14)
+        F = IlsProblem(A, np.zeros(3), SignatureSplit(2, 1)).factor.chol.T
+        np.testing.assert_allclose(np.linalg.eigvalsh(F.T @ F), [2.0, 4.0], rtol=1e-14)
 
     def test_failure_reports_eigenvalue(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -84,31 +85,15 @@ class TestCheckSpd:
 
 
 class TestQrCertificate:
-    """A^T J A = F^T F certified from A = QR, with M formed only when read."""
+    """A^T J A = F^T F certified from A = QR, without forming M."""
 
     def test_factor_reproduces_normal_matrix(self, rng):
         for _ in range(10):
             prob = random_ils(rng)
             F = prob.factor.chol.T
             np.testing.assert_array_equal(F, np.triu(F))
-            M = prob.M
+            M = signed_gram(prob.A, prob.split)
             np.testing.assert_allclose(F.T @ F, M, rtol=0, atol=1e-13 * np.abs(M).max())
-
-    def test_normal_matrix_formed_only_when_read(self, rng, monkeypatch):
-        calls = []
-        original = ils._signed_gram
-
-        def counted(A, split):
-            calls.append(1)
-            return original(A, split)
-
-        monkeypatch.setattr(ils, "_signed_gram", counted)
-        prob = random_ils(rng)
-        prob.solution
-        kappa_2ils(prob)
-        assert calls == []
-        M = prob.M
-        assert prob.M is M and len(calls) == 1
 
     @pytest.mark.parametrize("gen, cholesky_calls", [
         pytest.param(lambda: gen_example1(60, 25, 40, 3, 1.0, 0), 0, id="ex1-Aq-zero"),
@@ -160,7 +145,7 @@ class TestQrCertificate:
         M = B.T @ B
         V = rng.standard_normal((n, 7))
         chol = np.linalg.cholesky(M)
-        factor = SpdFactor(chol.T, lambda: M)
+        factor = SpdFactor(chol.T)
         expected = scipy.linalg.cho_solve((chol, True), V)
         np.testing.assert_array_equal(factor.solve(V), expected)
         np.testing.assert_array_equal(factor.solve(V[:, 0]), expected[:, 0])
@@ -177,7 +162,7 @@ class TestSolve:
         A = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
         b = np.array([2.0, 2.0, 0.0])
         prob = IlsProblem(A, b, SignatureSplit(2, 1))
-        sol = solve_ils(prob)
+        sol = prob.solution
         np.testing.assert_allclose(sol.x, [2.0, 2.0], rtol=1e-14)
         np.testing.assert_allclose(sol.r, [-2.0, -2.0, -4.0], rtol=1e-14)
 
@@ -186,9 +171,10 @@ class TestSolve:
             prob = random_ils(rng)
             sol = prob.solution
             rhs = prob.A.T @ prob.j_apply(prob.b)
-            resid = np.linalg.norm(prob.M @ sol.x - rhs)
+            M = signed_gram(prob.A, prob.split)
+            resid = np.linalg.norm(M @ sol.x - rhs)
             bound = 1e-10 * (
-                np.linalg.norm(prob.M) * np.linalg.norm(sol.x) + np.linalg.norm(rhs)
+                np.linalg.norm(M) * np.linalg.norm(sol.x) + np.linalg.norm(rhs)
             )
             assert resid <= bound
 
@@ -203,14 +189,23 @@ class TestSolve:
 
     def test_positive_definiteness_witness(self, rng):
         prob = random_ils(rng)
+        M = signed_gram(prob.A, prob.split)
         for _ in range(20):
             z = rng.standard_normal(prob.n)
-            assert z @ prob.M @ z > 0.0
+            assert z @ M @ z > 0.0
 
     def test_warns_when_not_genuinely_overdetermined(self):
         with pytest.warns(UserWarning, match="m > n"):
             with pytest.raises(NotPositiveDefinite):
                 IlsProblem(np.eye(2), [1.0, 1.0], SignatureSplit(1, 1))
+
+
+def _l_routes(L):
+    """Every kind of route that reads L: the map, the 2-norm and (inf, inf) values, the PCE."""
+    return [lambda prob: prob.jacobian(L),
+            lambda prob: kappa_2ils(prob, CondParams(L=L)),
+            lambda prob: kappa_unified(prob, CondParams(L=L), np.inf, np.inf),
+            lambda prob: estimate_kappa2_pce(prob, CondParams(L=L), seed=0)]
 
 
 class TestBoundaryValidation:
@@ -236,11 +231,27 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError, match="b has non-finite entries"):
             IlsProblem(A, b, SignatureSplit(6, 2))
 
+    @pytest.mark.parametrize("calls, message", [
+        pytest.param(_l_routes(1j * np.eye(3)), "L must be real", id="complex-L"),
+        pytest.param(_l_routes(np.full((3, 3), np.nan)), "L has non-finite", id="nan-L"),
+        pytest.param(_l_routes(np.zeros((3, 0))), "L has no columns", id="column-free-L"),
+        pytest.param(_l_routes(np.ones((3, 3, 1))), "L must be a matrix", id="3d-L"),
+        pytest.param([lambda prob: IlsProblem(np.zeros((8, 0)), prob.b, prob.split)],
+                     "A has no columns", id="column-free-A-ils"),
+        pytest.param([lambda prob: TlsProblem(np.zeros((8, 0)), prob.b)],
+                     "A has no columns", id="column-free-A-tls"),
+    ])
+    def test_bad_l_or_column_free_a_rejected(self, rng, calls, message):
+        prob = IlsProblem(*self._data(rng), SignatureSplit(6, 2))
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call(prob)
+
 
 class TestApplyMinv:
     def test_m_itself_gives_identity(self, rng):
         prob = random_ils(rng)
-        out = prob.apply_minv(prob.M)
+        out = prob.apply_minv(signed_gram(prob.A, prob.split))
         np.testing.assert_allclose(out, np.eye(prob.n), atol=1e-10)
 
     def test_two_by_two_adjugate(self):

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from ilscond import (
     SignatureSplit,
     StructuredParams,
     TlsNotGeneric,
+    TlsProblem,
     kappa_2tls,
     kappa_componentwise_tls,
     kappa_composed_ils,
@@ -66,7 +69,7 @@ def dense_tls_map(tls, L=None):
     """The TLS first-order map assembled from explicit Kronecker products."""
     if L is None:
         L = np.eye(tls.n)
-    Minv = np.linalg.inv(tls.Mt)
+    Minv = np.linalg.inv(tls.A.T @ tls.A - tls.sigma_tilde**2 * np.eye(tls.n))
     LtMinv = L.T @ Minv
     Dsig = LtMinv @ (tls.A.T + 2.0 * np.outer(tls.x, tls.r) / (1.0 + tls.x @ tls.x))
     P = dense_vec_perm(tls.m, tls.n)
@@ -102,7 +105,7 @@ class TestSolveTls:
 
 
 class TestStackedRoute:
-    """x, r, Mt and every Mt^{-1} product come from the stacked IlsProblem."""
+    """x, r and the factor behind every Mt^{-1} product come from the stacked IlsProblem."""
 
     def test_sigma_n_is_smallest_singular_value_of_a(self, rng):
         for _ in range(10):
@@ -111,15 +114,34 @@ class TestStackedRoute:
             s_a = np.linalg.svd(A, compute_uv=False)
             assert tls.sigma_n == pytest.approx(s_a[-1], rel=1e-12)
 
-    def test_mt_and_r_read_the_stacked_problem(self, rng):
+    def test_x_and_r_match_an_explicit_stacked_problem(self, rng):
         A, b = random_tls(rng)
         tls = solve_tls(A, b)
-        Mt = tls.Mt
-        assert Mt is tls.stacked.M
-        expected = A.T @ A - tls.sigma_tilde**2 * np.eye(3)
-        np.testing.assert_allclose(Mt, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
-        np.testing.assert_array_equal(tls.r, tls.stacked.solution.r[:10])
+        stacked = stacked_ils(A, tls.sigma_tilde * np.eye(3), b, np.zeros(3))
+        np.testing.assert_array_equal(tls.x, stacked.solution.x)
+        np.testing.assert_array_equal(tls.r, stacked.solution.r[:10])
         np.testing.assert_allclose(tls.r, b - A @ tls.x, rtol=0, atol=1e-13 * np.linalg.norm(b))
+        F = tls.factor.chol.T
+        expected = A.T @ A - tls.sigma_tilde**2 * np.eye(3)
+        np.testing.assert_allclose(F.T @ F, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+    def test_keeps_no_stacked_copy(self, rng):
+        # what a TlsProblem keeps is about its n x n factor; the (m + n) x n
+        # stacked copy of A alone would exceed the bound
+        m, n = 200, 100
+        A, b = random_tls(rng, m, n)
+        TlsProblem(A, b)  # one-time allocations of the first call are not counted
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tls = TlsProblem(A, b)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert tls.n == n
+        assert kept < 8 * (n**2 + 4 * (m + n))
 
     def test_failed_certificate_is_not_generic(self, rng):
         # a zero column makes sigma_tilde = sigma_n(A) = 0, so Mt is singular
@@ -133,7 +155,7 @@ class TestStackedRoute:
         A, b = ill_conditioned_tls(rng)
         with pytest.warns(IllConditionedWarning):
             tls = solve_tls(A, b)
-        assert tls.stacked.ill_conditioned
+        assert tls.ill_conditioned
 
     def test_ill_conditioned_warning_names_the_caller(self, rng):
         A, b = ill_conditioned_tls(rng)

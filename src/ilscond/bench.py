@@ -21,7 +21,8 @@ import scipy.linalg
 from .estimate import SsceConfig, estimate_kappa2_pce, estimate_kappa2_ssce, \
     estimate_kappa_inf_ssce
 from .exact import CondParams, ConditionReport, kappa_2ils
-from .ils import IllConditionedWarning, IlsProblem, NotPositiveDefinite, SignatureSplit
+from .ils import (EPS, IllConditionedWarning, IlsProblem, NotPositiveDefinite,
+                  NumericallySingular, SignatureSplit, _singular_message)
 from .structured import StructuredParams, make_basis
 
 
@@ -38,14 +39,18 @@ def gen_example1(m, n, p, l, rho, seed):
     A applies Householder reflectors on both sides of [D; 0] with
     D = n^{-l} diag(n^l, (n-1)^l, ..., 1); the solution is planted as
     x = (1, 4, ..., n^2) and b = A x + r with ||r|| = rho.  Both reflectors
-    keep the trailing q rows of [D; 0] zero, so A_q = 0: Q^T J Q = I and the
-    indefiniteness lives in b alone.  A numerically singular A (n**l at or
-    beyond 1/(max(m, n) eps)) raises NumericallySingular.
+    keep the trailing q rows of [D; 0] zero, so A_q = 0: A^T J A = R_p^T R_p
+    and the indefiniteness lives in b alone.  cond(R_p) = cond(A) = n**l, so
+    an instance with n**l at or beyond 1/(max(m, n) eps) raises
+    NumericallySingular before anything is drawn.
 
     Returns (problem, planted_x, planted_r).
     """
     if p < n or p >= m:
         raise ValueError("need n <= p < m")
+    bound = 1.0 / (max(m, n) * EPS)
+    if float(n) ** l >= bound:
+        raise NumericallySingular(_singular_message(float(n) ** l, bound))
     q = m - p
     rng = np.random.default_rng(seed)
     up = rng.standard_normal(p)
@@ -77,9 +82,10 @@ def gen_example2(m, n, p, kappa, rho, seed):
     """Stacked orthogonal instance [Q1 D U; Q2 D U / 2] with graded D.
 
     The diagonal of D runs geometrically from 1/kappa up to 1, so
-    kappa(A) = kappa.  A = [Q1; Q2 / 2] D U, so Q^T J Q is similar to
-    (I + P/4)^{-1} (I - P/4) with P = Q2^T Q2 a projector: its eigenvalues
-    are 1 and 0.6 for any shape, and every draw is definite.  Returns
+    kappa(A) = kappa.  A = [Q1; Q2 / 2] D U, so the certificate
+    I - W W^T = R_p^{-T} (A^T J A) R_p^{-1} is orthogonally similar to
+    I - P/4 with P = Q2^T Q2 a projector: its eigenvalues are 1 and 0.75 for
+    any shape, and every draw is definite.  Returns
     (problem, planted_x, planted_r).
     """
     if p < n or p >= m:
@@ -103,9 +109,9 @@ def gen_example3(n, rho, seed):
     """Stacked Toeplitz instance A = [B; B/2] with Gaussian generators.
 
     B is a nonsymmetric random Toeplitz n x n block; p = q = n, so the
-    normal matrix is (3/4) B^T B against A^T A = (5/4) B^T B: every
-    eigenvalue of Q^T J Q is 0.6, and the instance is definite whenever B
-    is nonsingular.  Only A is structured; b keeps the full (unstructured)
+    normal matrix is (3/4) B^T B against A_p^T A_p = B^T B: the certificate
+    I - W W^T is (3/4) I, and the instance is definite whenever B is
+    nonsingular.  Only A is structured; b keeps the full (unstructured)
     basis.  Returns (problem, structured_params, planted_x, planted_r).
     """
     if n < 2:
@@ -174,8 +180,8 @@ def table2_config(full=False, **overrides):
     """Ratio experiment for the mixed/componentwise small-sample estimator.
 
     The desk grid stops at 1e8; the full grid keeps the published ladder up
-    to 1e12.  Definiteness is certified from A's QR factor, never from
-    A^T J A, so it holds while cond(A) stays below 1/(max(m, n) eps) and
+    to 1e12.  Definiteness is certified from the QR factor of A_p, never
+    from A^T J A, so it holds while cond(A) stays below 1/(max(m, n) eps) and
     every cell of both grids has records.
     """
     base = dict(

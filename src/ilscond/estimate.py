@@ -47,12 +47,12 @@ def wallis(k, approx=False):
 
 
 def _orthonormalize(Z):
-    # the Q of np.linalg.qr(Z), bit for bit and in its row-major layout (the
-    # layout sets how the draws' reshapes reach BLAS), from the same two
-    # LAPACK calls without np.linalg.qr's other copies
+    # the Q of np.linalg.qr(Z), bit for bit, from the same two LAPACK calls
+    # without np.linalg.qr's copies; column-major, so each direction Q[:, i]
+    # is contiguous
     qr, tau, _, _ = dgeqrf(Z)
     Q, _, _ = dorgqr(qr, tau)
-    return np.ascontiguousarray(Q)
+    return Q
 
 
 @dataclass

@@ -2,11 +2,12 @@
 
 An instance minimizes (b - Ax)^T J (b - Ax) with J = diag(I_p, -I_q).  It has
 a unique solution x = M^{-1} A^T J b exactly when M = A^T J A is positive
-definite.  Construction certifies this without forming M: A = QR by
-Householder QR, and C = Q^T J Q = R^{-T} M R^{-1} is certified by Cholesky,
-C = G G^T, so M = F^T F with F = G^T R upper triangular.  Errors then grow
-with cond(A), not cond(A)^2.  The result is an SpdFactor, the one Cholesky
-factor type of the package, which every subsequent M^{-1} application reuses.
+definite.  Construction certifies this without forming M, from the rows A_p
+with signature +1: A_p = Q_p R_p by Householder QR, W = R_p^{-T} A_q^T, and
+C = R_p^{-T} M R_p^{-1} = I - W W^T = G G^T by Cholesky, so M = F^T F with
+F = G^T R_p upper triangular.  Errors then grow with cond(A), not cond(A)^2.
+The result is an SpdFactor, the one Cholesky factor type of the package,
+which every subsequent M^{-1} application reuses.
 """
 
 import math
@@ -89,8 +90,8 @@ class SignatureSplit:
 class SpdFactor:
     """Certified factor M = F^T F of a symmetric positive definite matrix.
 
-    Wraps the upper-triangular F that _normal_factor certifies from A's QR
-    factorization; M itself is never formed.
+    Wraps the upper-triangular F = G^T R_p that _normal_factor certifies from
+    the QR factorization of A_p; M itself is never formed.
 
     ``cond_upper`` and ``sigma_min_lower`` bound cond(F) from above and
     sigma_min(F) from below without an SVD, from one triangular inverse and
@@ -166,39 +167,44 @@ class SpdFactor:
 
 def _normal_factor(A, split):
     # certify A^T J A = F^T F for an A that checked_data has already validated;
-    # also returns the QR pieces (qr, tau, G; G None when C = I) from which
-    # IlsProblem forms its solution
+    # also returns the pieces (qr, tau, W, G; W and G None when A_q = 0) from
+    # which IlsProblem forms its solution
     m, n = A.shape
+    p = split.p
     if split.m != m:
         raise ValueError(f"signature split p+q={split.m} does not match m={m}")
     if m < n:
         raise NumericallySingular(f"A has {m} rows and {n} columns, so A^T J A is singular")
+    if p < n:
+        raise NotPositiveDefinite(
+            f"only p = {p} rows carry signature +1 for n = {n} columns: A^T J A <= "
+            "A_p^T A_p, of rank at most p, is not positive definite")
     bound = 1.0 / (max(m, n) * EPS)
-    # R is the upper triangle of qr's leading n rows; LAPACK reads no further
-    qr, tau, _, _ = dgeqrf(A)
-    if not A[split.p:].any():
-        # A_q = 0 (every ex1 instance): C = Q^T J Q = I exactly, so G = I and F = R
-        G, F = None, np.triu(qr[:n])
+    # R_p is the upper triangle of qr's leading n rows; LAPACK reads no further
+    qr, tau, _, _ = dgeqrf(A[:p])
+    if not A[p:].any():
+        # A_q = 0 (every ex1 instance): C = I exactly, so G = I and F = R_p
+        W = G = None
+        F = np.triu(qr[:n])
     else:
-        QqT, info = dtrtrs(qr, A[split.p:].T, lower=0, trans=1, lda=m)
+        W, info = dtrtrs(qr, A[p:].T, lower=0, trans=1, lda=p)
         if info > 0:
             raise NumericallySingular(_singular_message(np.inf, bound))
-        C = -2.0 * (QqT @ QqT.T)
+        C = -(W @ W.T)
         C.flat[:: n + 1] += 1.0
-        C = 0.5 * (C + C.T)
         try:
             G = np.linalg.cholesky(C)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite(
-                "Q^T J Q (A = QR, congruent to A^T J A) is not positive definite; the "
-                "problem has no unique solution (smallest eigenvalue "
+                "I - W W^T (W = R_p^{-T} A_q^T, congruent to A^T J A) is not positive "
+                "definite; the problem has no unique solution (smallest eigenvalue "
                 f"{float(np.linalg.eigvalsh(C)[0]):.3e})") from exc
         F = dtrmm(1.0, qr, G.T, side=1)
     factor = SpdFactor(F)
     # the SVD decides only where the bound cannot
     if factor.cond_upper >= bound and factor.cond >= bound:
         raise NumericallySingular(_singular_message(factor.cond, bound))
-    return factor, (qr, tau, G)
+    return factor, (qr, tau, W, G)
 
 
 def _singular_message(cond, bound):
@@ -226,8 +232,9 @@ class IlsProblem(SharedJacobian):
         Counts (p, q) of +1 and -1 signature entries; p + q = m.
 
     Raises ValueError for complex or non-finite data, NotPositiveDefinite
-    when A^T J A is not positive definite (its message carries the
-    smallest eigenvalue of Q^T J Q), and its subclass
+    when A^T J A is not positive definite (when p < n, before any
+    factorization, and otherwise with the smallest eigenvalue of
+    I - W W^T in its message), and its subclass
     NumericallySingular when A^T J A = F^T F has cond(F) >= 1/(max(m, n)
     eps).  Below that bound, when eps * cond(F) > 1e-3, an
     IllConditionedWarning is issued and ``ill_conditioned`` is set;
@@ -237,11 +244,13 @@ class IlsProblem(SharedJacobian):
     bound reaches the threshold, so their outcome is the SVD's.  Warnings
     name the first caller outside the package.
 
-    Construction also solves M x = A^T J b as x = F^{-1} G^{-1} (Q^T J b)[:n],
-    that is x = R^{-1} C^{-1} (Q^T J b)[:n], and keeps ``solution``, x with
-    its residual r = b - A x.  Going through A^T J b and the factor of M
-    instead (the seminormal equations) would cost an error of order
-    eps cond(A)^2 ||b|| / (||A|| ||x||).  A^T J A itself is never formed.
+    Construction also solves M x = A^T J b, with
+    A^T J b = R_p^T ((Q_p^T b_p)[:n] - W b_q), as
+    x = F^{-1} G^{-1} ((Q_p^T b_p)[:n] - W b_q), and keeps ``solution``, x
+    with its residual r = b - A x.  Going through A^T J b and the factor of
+    M instead (the seminormal equations) would cost an error of order
+    eps cond(A)^2 ||b|| / (||A|| ||x||).  Neither A^T J A nor A^T J b is
+    formed.
     """
 
     def __init__(self, A, b, split):
@@ -262,11 +271,12 @@ class IlsProblem(SharedJacobian):
         self.split = split
         self.m = m
         self.n = n
-        self.factor, (qr, tau, G) = _normal_factor(A, split)
-        # Q^T is applied by its reflectors, never formed
-        qjb, _, _ = dormqr("L", "T", qr, tau, split.apply(b)[:, None], 1)
-        gqjb = qjb[:n] if G is None else dtrtrs(G, qjb[:n], lower=1)[0]
-        x = dtrtrs(self.factor.chol, gqjb, lower=1, trans=1)[0][:, 0]
+        self.factor, (qr, tau, W, G) = _normal_factor(A, split)
+        # Q_p^T is applied by its reflectors, never formed
+        y = dormqr("L", "T", qr, tau, b[:split.p, None], 1)[0][:n]
+        if W is not None:
+            y = dtrtrs(G, y - W @ b[split.p:, None], lower=1)[0]
+        x = dtrtrs(self.factor.chol, y, lower=1, trans=1)[0][:, 0]
         self.solution = IlsSolution(x=x, r=b - A @ x)
         self.ill_conditioned = (EPS * self.factor.cond_upper > 1e-3
                                 and EPS * self.factor.cond > 1e-3)

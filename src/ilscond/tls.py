@@ -3,8 +3,9 @@
 A TLS instance min ||[E, e]||_F s.t. (A+E)x = b+e is the indefinite problem
 on [A; sigma I_n] with signature diag(I_m, -I_n), where sigma is the
 smallest singular value of [A, b].  This module solves generic TLS
-instances as that IlsProblem, on its QR factor route, evaluates their
-partial condition numbers (unified, 2-norm, mixed, componentwise; the
+instances from one Householder QR of [A, b], as the IlsProblem on
+[R_A; sigma I_n] with the same normal matrix and right-hand side, evaluates
+their partial condition numbers (unified, 2-norm, mixed, componentwise; the
 structured ones are fields of exact.ConditionReport on a TlsProblem), and
 provides the general composed first-order machinery for a stacked
 IlsProblem on [A; B] whose lower blocks depend on the data.
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf
 
 from .exact import (CondParams, JacobianMg, SharedJacobian, _induced_norm, kappa_2ils,
                     kappa_componentwise, kappa_mixed)
@@ -33,14 +35,17 @@ class TlsNotGeneric(ValueError):
 class TlsProblem(SharedJacobian):
     """A generic total least squares instance, solved as its stacked ILS problem.
 
-    Construction computes sigma_tilde, the smallest singular value of
-    [A, b], and solves the IlsProblem on [A; sigma_tilde I_n], [b; 0] with
-    signature diag(I_m, -I_n), whose A^T J A is
-    Mt = A^T A - sigma_tilde^2 I.  Its QR route gives x = Mt^{-1} A^T b, the
-    residual r = b - A x (the first m entries of the stacked residual) and
-    ``factor``, the certified Mt = F^T F behind every Mt^{-1} product, with
-    errors that grow with cond(A), not cond(Mt).  Only these and
-    ``ill_conditioned`` are kept, not the stacked copy of A.
+    Construction takes one Householder QR of [A, b], which gives the
+    (n + 1) x (n + 1) triangle [[R_A, z], [0, rho]].  sigma_tilde, the
+    smallest singular value of [A, b], is that of the triangle (one
+    values-only SVD).  The IlsProblem on [R_A; sigma_tilde I_n], [z; 0]
+    with signature diag(I_n, -I_n) has the A^T J A,
+    Mt = A^T A - sigma_tilde^2 I, and the A^T J b = R_A^T z = A^T b of the
+    stacked problem on [A; sigma_tilde I_n], [b; 0], so the same solution
+    x = Mt^{-1} A^T b; its ``factor``, the certified Mt = F^T F, is behind
+    every Mt^{-1} product, with errors that grow with cond(A), not
+    cond(Mt).  The residual r = b - A x is computed from A.  Only these and
+    ``ill_conditioned`` are kept, not the (m + n) x n stack.
     sigma_n(A) = hypot(sigma_min(F), sigma_tilde), and the instance is
     generic when sigma_tilde sits below it with relative gap at least
     GAP_TOL.  The gap is checked first at the lower bound
@@ -60,12 +65,13 @@ class TlsProblem(SharedJacobian):
             raise ValueError(f"b has length {b.size}, expected {m}")
         if m <= n:
             raise ValueError("TLS needs strictly more rows than columns")
-        full = np.column_stack([A, b])
-        sv_full = np.linalg.svd(full, compute_uv=False)
-        self.sigma_tilde = float(sv_full[-1])
+        qr = dgeqrf(np.column_stack([A, b]))[0]
+        Rbar = np.triu(qr[: n + 1])
+        self.sigma_tilde = float(np.linalg.svd(Rbar, compute_uv=False)[-1])
         try:
-            stacked = IlsProblem(np.vstack([A, self.sigma_tilde * np.eye(n)]),
-                                 np.concatenate([b, np.zeros(n)]), SignatureSplit(m, n))
+            stacked = IlsProblem(np.vstack([Rbar[:n, :n], self.sigma_tilde * np.eye(n)]),
+                                 np.concatenate([Rbar[:n, n], np.zeros(n)]),
+                                 SignatureSplit(n, n))
         except NotPositiveDefinite as exc:
             raise TlsNotGeneric(
                 "A^T A - sigma_tilde^2 I lost definiteness numerically"
@@ -86,7 +92,7 @@ class TlsProblem(SharedJacobian):
         self.m = m
         self.n = n
         self.x = stacked.solution.x
-        self.r = stacked.solution.r[:m]
+        self.r = b - A @ self.x
 
     @cached_property
     def sigma_n(self):

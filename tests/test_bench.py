@@ -78,13 +78,14 @@ class TestGenerators:
 def generated_instances(draw):
     """(problem, spectrum) for a generator at a random shape, condition and seed.
 
-    ``spectrum`` is the set the eigenvalues of C = Q^T J Q must lie in.
+    ``spectrum`` is the set the eigenvalues of the certificate C = I - W W^T
+    must lie in.
     """
     example = draw(st.sampled_from(["ex1", "ex2", "ex3"]))
     seed = draw(st.integers(0, 2**32 - 1))
     if example == "ex3":
         problem, _, _, _ = gen_example3(draw(st.integers(2, 12)), 1.0, seed)
-        return problem, [0.6]
+        return problem, [0.75]
     n = draw(st.integers(2, 10))
     p = draw(st.integers(n, n + 8))
     # q < n is included
@@ -93,20 +94,22 @@ def generated_instances(draw):
         l = draw(st.integers(0, 3))
         return gen_example1(m, n, p, l, 1.0, seed)[0], [1.0]
     kappa = 10.0 ** draw(st.floats(0, 12))
-    return gen_example2(m, n, p, kappa, 1.0, seed)[0], [0.6, 1.0]
+    return gen_example2(m, n, p, kappa, 1.0, seed)[0], [0.75, 1.0]
 
 
 @given(generated_instances())
 def test_generators_are_definite_by_construction(instance):
-    # C = R^{-T} M R^{-1} = Q^T J Q (A = QR) is congruent to M = A^T J A; its
-    # spectrum is fixed by each generator's structure, so its Cholesky cannot
-    # fail and one draw per instance suffices.  C is formed from Q: through a
-    # formed M it would carry an error of order eps cond(A)^2.  Rounding A
-    # itself tilts range(A) by O(eps cond(A)), which moves the eigenvalue 0.6
-    # of ex2 by up to about 0.4 eps cond(A) (9e-5 at cond(A) = 1e12)
+    # C = R_p^{-T} M R_p^{-1} = I - W W^T (A_p = Q_p R_p, W = R_p^{-T} A_q^T)
+    # is congruent to M = A^T J A; its spectrum is fixed by each generator's
+    # structure, so its Cholesky cannot fail and one draw per instance
+    # suffices.  C is formed from R_p: through a formed M it would carry an
+    # error of order eps cond(A)^2.  Rounding A itself moves the eigenvalue
+    # 0.75 of ex2 by O(eps cond(A)), up to about 4e-5 at cond(A) = 1e12
     problem, spectrum = instance
-    Q, _ = np.linalg.qr(problem.A)
-    eig = np.linalg.eigvalsh(signed_gram(Q, problem.split))
+    p = problem.p
+    R = np.linalg.qr(problem.A[:p], mode="r")
+    W = np.linalg.solve(R.T, problem.A[p:].T)
+    eig = np.linalg.eigvalsh(np.eye(problem.n) - W @ W.T)
     tol = 1e-12 + 10 * problem.n * np.finfo(float).eps * np.linalg.cond(problem.A)
     assert np.min(np.abs(eig[:, None] - np.array(spectrum)[None, :]), axis=1).max() <= tol
 
@@ -125,12 +128,13 @@ class TestGenerationAttempts:
         monkeypatch.setattr(bench, "IlsProblem", counted)
         return draws
 
-    def test_full_table1_n9_excluded_after_one_draw(self, monkeypatch):
-        # cond(A) = 120^9 ~ 5e18 lies beyond 1/(max(m, n) eps) ~ 2e13
+    def test_full_table1_n9_excluded_without_a_draw(self, monkeypatch):
+        # cond(A) = 120^9 ~ 5e18 lies beyond 1/(max(m, n) eps) ~ 2e13, which
+        # the generator knows before it draws
         draws = self._count_draws(monkeypatch)
         with pytest.raises(NumericallySingular, match=r"1/\(max\(m, n\) eps\)"):
             gen_example1(200, 120, 140, 9, 1.0, 0)
-        assert len(draws) == 1
+        assert len(draws) == 0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_full_table1_n6_certifies_first_draw(self, seed, monkeypatch):

@@ -105,7 +105,7 @@ def test_report_400_tls_build_takes_no_svd(svd_calls):
 
 def _diagonal_instance(cond):
     # A = [D; 0] with A_q = 0: Householder QR leaves D as it is and
-    # Q^T J Q = I, so F = D exactly.  The three equal smallest entries make
+    # C = I, so F = D exactly.  The three equal smallest entries make
     # ||F^{-1}||_F = sqrt(3) ||F^{-1}||_2, so the bound overshoots cond(F) by
     # more than 1/0.8 and cannot decide at 0.8 times a threshold.
     d = np.array([1.0, 0.5, 0.1, 1.0 / cond, 1.0 / cond, 1.0 / cond])

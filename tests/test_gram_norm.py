@@ -311,9 +311,9 @@ def test_l_changed_in_place_gets_a_fresh_map(kind, rng):
 @given(SEEDS, st.floats(0.0, 4.0))
 def test_tls_left_orthogonal_invariance(seed, t):
     # Q [A, b] keeps the singular values and x, so kappa_2tls(QA, Qb) equals
-    # kappa_2tls(A, b) up to rounding.  The generators come from the QR route
-    # of the stacked problem on [A; sigma I], whose errors grow with cond(A),
-    # not with cond(Mt) = cond(A^T A - sigma^2 I).
+    # kappa_2tls(A, b) up to rounding.  The generators come from the QR of
+    # [A, b] and the stacked problem on [R_A; sigma I], whose errors grow with
+    # cond(A), not with cond(Mt) = cond(A^T A - sigma^2 I).
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
     m = int(rng.integers(n + 2, 20))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import ilscond.ils
 from ilscond import (
     CondParams,
     IllConditionedWarning,
@@ -75,8 +76,10 @@ class TestCheckSpd:
 
     def test_failure_reports_eigenvalue(self):
         A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(NotPositiveDefinite, match="eigenvalue"):
+        with pytest.raises(NotPositiveDefinite, match="eigenvalue") as info:
             IlsProblem(A, np.zeros(3), SignatureSplit(2, 1))
+        # R_p = I up to signs, so I - W W^T = [[0, -1], [-1, 0]]
+        assert "-1.000e+00" in str(info.value)
 
     def test_split_mismatch(self):
         with pytest.warns(UserWarning, match="m > n"):
@@ -85,7 +88,7 @@ class TestCheckSpd:
 
 
 class TestQrCertificate:
-    """A^T J A = F^T F certified from A = QR, without forming M."""
+    """A^T J A = F^T F certified from A_p = Q_p R_p, without forming M."""
 
     def test_factor_reproduces_normal_matrix(self, rng):
         for _ in range(10):
@@ -100,7 +103,7 @@ class TestQrCertificate:
         pytest.param(lambda: gen_example2(60, 25, 40, 1e4, 1.0, 0), 1, id="ex2"),
     ])
     def test_cholesky_of_c_skipped_when_aq_is_zero(self, gen, cholesky_calls, monkeypatch):
-        # A_q = 0 makes C = Q^T J Q = I exactly, so F = R is taken without a Cholesky
+        # A_q = 0 makes C = I - W W^T = I exactly, so F = R_p is taken without a Cholesky
         calls = []
         original = np.linalg.cholesky
 
@@ -127,6 +130,17 @@ class TestQrCertificate:
         with pytest.warns(UserWarning, match="m >= n always"):
             with pytest.raises(NumericallySingular, match="3 rows and 5 columns"):
                 IlsProblem(rng.standard_normal((3, 5)), np.ones(3), SignatureSplit(3, 0))
+
+    def test_fewer_positive_rows_than_columns_is_not_definite(self, rng, monkeypatch):
+        # A^T J A <= A_p^T A_p, whose rank is at most p < n: refused before any QR
+        def no_qr(*args, **kwargs):
+            raise AssertionError("a QR was taken")
+
+        monkeypatch.setattr(ilscond.ils, "dgeqrf", no_qr)
+        message = r"p = 3 rows carry signature \+1 for n = 5 columns"
+        with pytest.raises(NotPositiveDefinite, match=message) as info:
+            IlsProblem(rng.standard_normal((9, 5)), np.ones(9), SignatureSplit(3, 6))
+        assert not isinstance(info.value, NumericallySingular)
 
     @pytest.mark.parametrize("kappa, warns", [(1e11, False), (1e13, True)])
     def test_warning_reads_eps_times_cond_f(self, kappa, warns):

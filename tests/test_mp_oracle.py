@@ -1,6 +1,7 @@
 """Condition numbers against 50-digit mpmath references (tests/mp_oracle.py).
 
-The ILS cells check kappa_2, mixed and componentwise values; the TLS cells
+The ILS cells check kappa_2, mixed and componentwise values, at residual
+norm rho = 1 and, on ex2, at the small residual rho = 1e-4; the TLS cells
 check kappa_2tls.
 
 Each value must agree with its reference to c n eps cond(A) relative, with
@@ -54,6 +55,19 @@ def test_example2_small(kappa):
     _assert_agrees(problem)
 
 
+@pytest.mark.parametrize("kappa", [
+    # a small residual: certifying from the QR of all of A missed these
+    # tolerances (1e6: 7.4e-07 6.2e-07 1.4e-05; 1e12: 5.4e-02 3.3e-01 4.4e-01)
+    1e6,   # 1.3e-12 2.8e-11 2.5e-10, tol 1.8e-08
+    1e8,   # 9.0e-10 4.3e-09 5.1e-08, tol 1.8e-06
+    1e10,  # 2.0e-07 6.1e-08 2.6e-08, tol 1.8e-04
+    1e12,  # 2.6e-06 9.6e-06 1.6e-05, tol 1.8e-02
+])
+def test_example2_small_residual(kappa):
+    problem, _, _ = gen_example2(20, 8, 12, kappa, 1e-4, 0)
+    _assert_agrees(problem)
+
+
 @pytest.mark.parametrize("l", [
     3,   # 3.7e-15 9.3e-14 2.9e-14, tol 9.1e-12
     12,  # 3.7e-08 3.9e-06 4.7e-06, tol 1.2e-03
@@ -83,6 +97,14 @@ def test_desk_table1_n6(seed):
 ])
 def test_desk_table2_kappa_1e8(seed):
     problem, _, _ = gen_example2(60, 25, 35, 1e8, 1.0, seed)
+    _assert_agrees(problem)
+
+
+@pytest.mark.mpmath_desk
+def test_desk_table2_kappa_1e8_small_residual():
+    # 4.3e-10 3.3e-09 2.4e-07, tol 5.6e-06 (from the QR of all of A:
+    # 4.4e-03 3.0e-02 2.9e-01)
+    problem, _, _ = gen_example2(60, 25, 35, 1e8, 1e-4, 0)
     _assert_agrees(problem)
 
 

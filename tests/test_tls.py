@@ -125,6 +125,25 @@ class TestStackedRoute:
         expected = A.T @ A - tls.sigma_tilde**2 * np.eye(3)
         np.testing.assert_allclose(F.T @ F, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
+    def test_no_svd_of_more_than_n_plus_one_rows(self, rng, monkeypatch):
+        # sigma_tilde comes from the (n + 1) x (n + 1) triangle of one QR of
+        # [A, b], and sigma_n from the n x n factor
+        m, n = 40, 6
+        A, b = random_tls(rng, m, n)
+        expected = np.linalg.svd(np.column_stack([A, b]), compute_uv=False)[-1]
+        shapes = []
+        original = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        tls = TlsProblem(A, b)
+        assert tls.sigma_n > tls.sigma_tilde
+        assert shapes and max(shape[0] for shape in shapes) <= n + 1
+        assert tls.sigma_tilde == pytest.approx(expected, rel=1e-12)
+
     def test_keeps_no_stacked_copy(self, rng):
         # what a TlsProblem keeps is about its n x n factor; the (m + n) x n
         # stacked copy of A alone would exceed the bound

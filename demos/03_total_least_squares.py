@@ -15,11 +15,11 @@ from ilscond import (
     CondParams,
     IlsProblem,
     SignatureSplit,
+    TlsProblem,
     kappa_2tls,
     kappa_componentwise_tls,
     kappa_composed_ils,
     kappa_mixed_tls,
-    solve_tls,
     tls_blocks,
 )
 
@@ -28,7 +28,7 @@ m, n = 15, 4
 A = rng.standard_normal((m, n))
 b = A @ rng.standard_normal(n) + 0.3 * rng.standard_normal(m)
 
-tls = solve_tls(A, b)
+tls = TlsProblem(A, b)
 print(f"sigma_tilde = {tls.sigma_tilde:.6f}  (smallest sv of [A, b])")
 print(f"sigma_n     = {tls.sigma_n:.6f}  (smallest sv of A)")
 print(f"x (first 3) = {tls.x[:3]}")

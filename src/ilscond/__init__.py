@@ -42,7 +42,6 @@ from .structured import (
     StructuredParams,
     kappa_2ils_structured,
     kappa_componentwise_structured,
-    kappa_inf_structured_general,
     kappa_mixed_structured,
     make_basis,
 )
@@ -54,9 +53,7 @@ from .tls import (
     kappa_componentwise_tls,
     kappa_composed_ils,
     kappa_mixed_tls,
-    solve_tls,
     tls_blocks,
-    tls_jacobian,
 )
 
 __all__ = [
@@ -90,7 +87,6 @@ __all__ = [
     "kappa_componentwise_structured",
     "kappa_componentwise_tls",
     "kappa_composed_ils",
-    "kappa_inf_structured_general",
     "kappa_lls_svd_check",
     "kappa_mixed",
     "kappa_mixed_structured",
@@ -99,10 +95,8 @@ __all__ = [
     "load_problem",
     "make_basis",
     "save_problem",
-    "solve_tls",
     "spectral_interval",
     "tls_blocks",
-    "tls_jacobian",
     "unvec",
     "vec",
     "wallis",

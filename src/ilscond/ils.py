@@ -1,4 +1,4 @@
-"""Indefinite least squares instances: definiteness check, solution, M^{-1} products.
+"""Indefinite least squares instances: definiteness check, solution, first-order map.
 
 An instance minimizes (b - Ax)^T J (b - Ax) with J = diag(I_p, -I_q).  It has
 a unique solution x = M^{-1} A^T J b exactly when M = A^T J A is positive
@@ -259,13 +259,6 @@ class IlsProblem(SharedJacobian):
         m, n = A.shape
         if b.size != m:
             raise ValueError(f"b has length {b.size}, expected {m}")
-        if m < n or (split.q > 0 and m == n):
-            warnings.warn(
-                "a genuinely indefinite problem needs m > n (and m >= n always); "
-                "proceeding anyway",
-                UserWarning,
-                stacklevel=_caller_stacklevel(),
-            )
         self.A = A
         self.b = b
         self.split = split
@@ -296,13 +289,9 @@ class IlsProblem(SharedJacobian):
     def q(self):
         return self.split.q
 
-    def j_apply(self, v):
-        """Product of the signature matrix with a vector or matrix of m rows."""
-        return self.split.apply(v)
-
-    def apply_minv(self, V):
-        """Compute M^{-1} V with the certified factor."""
-        return self.factor.solve(V)
-
     def _build_jacobian(self, L):
-        return JacobianMg.for_ils(self, L)
+        # w = J r, U = M^{-1} L, V = J A U
+        U = self.factor.solve(np.eye(self.n) if L is None else L)
+        V = self.split.apply(self.A @ U)
+        sol = self.solution
+        return JacobianMg(self.split.apply(sol.r), U, V, sol.x, self.A, self.b)

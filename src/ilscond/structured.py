@@ -213,8 +213,3 @@ def kappa_mixed_structured(problem, params, sparams):
 def kappa_componentwise_structured(problem, params, sparams):
     """Structured componentwise condition number (0^ddagger on zero outputs)."""
     return ConditionReport(problem, params, sparams).structured_componentwise
-
-
-def kappa_inf_structured_general(problem, params, sparams):
-    """Structured infinity-norm condition number for general (varphi, theta, xi)."""
-    return ConditionReport(problem, params, sparams).structured_general

@@ -99,31 +99,13 @@ class TlsProblem(SharedJacobian):
         """Smallest singular value of A, hypot(sigma_min(F), sigma_tilde) for Mt = F^T F."""
         return float(np.hypot(self.factor.singular_values[-1], self.sigma_tilde))
 
-    def apply_minv(self, V):
-        """Compute Mt^{-1} V with the certified factor."""
-        return self.factor.solve(V)
-
     def _build_jacobian(self, L):
-        return tls_jacobian(self, L)
-
-
-def solve_tls(A, b):
-    """Solve a generic TLS instance; raises TlsNotGeneric on gap violation."""
-    return TlsProblem(A, b)
-
-
-def tls_jacobian(tls, L=None):
-    """Row-structured first-order map of L^T x for the TLS solution.
-
-    Same row shape as the ILS map, with w = r, U = Mt^{-1} L and
-    V = (A + 2 r x^T / (1 + ||x||^2)) Mt^{-1} L, whose transpose is the
-    sensitivity block of the right-hand side.
-    """
-    if L is None:
-        L = np.eye(tls.n)
-    U = tls.apply_minv(L)
-    V = tls.A @ U + (2.0 / (1.0 + tls.x @ tls.x)) * np.outer(tls.r, tls.x @ U)
-    return JacobianMg(tls.r, U, V, tls.x, tls.A, tls.b)
+        # the ILS map's row shape with w = r, U = Mt^{-1} L and
+        # V = (A + 2 r x^T / (1 + ||x||^2)) U, whose transpose is the
+        # sensitivity block of the right-hand side
+        U = self.factor.solve(np.eye(self.n) if L is None else L)
+        V = self.A @ U + (2.0 / (1.0 + self.x @ self.x)) * np.outer(self.r, self.x @ U)
+        return JacobianMg(self.r, U, V, self.x, self.A, self.b)
 
 
 # each TLS flavour is the ILS function of the same norm, reading the TLS Jacobian

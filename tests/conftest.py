@@ -71,7 +71,7 @@ def dense_mg_oracle(problem, L=None):
         L = np.eye(n)
     sol = problem.solution
     x, r = sol.x, sol.r
-    Jr = problem.j_apply(r)
+    Jr = problem.split.apply(r)
     LtMinv = np.linalg.solve(signed_gram(A, problem.split), L).T
     LtMinvAtJ = LtMinv @ (A.T * problem.split.apply(np.ones(m))[None, :])
     P = dense_vec_perm(m, n)
@@ -114,9 +114,9 @@ def directional_derivative(problem, L, dA, db):
     x, r = sol.x, sol.r
     A = problem.A
     M = signed_gram(A, problem.split)
-    term1 = np.linalg.solve(M, dA.T @ problem.j_apply(r))
-    term2 = np.linalg.solve(M, A.T @ problem.j_apply(dA @ x))
-    term3 = np.linalg.solve(M, A.T @ problem.j_apply(db))
+    term1 = np.linalg.solve(M, dA.T @ problem.split.apply(r))
+    term2 = np.linalg.solve(M, A.T @ problem.split.apply(dA @ x))
+    term3 = np.linalg.solve(M, A.T @ problem.split.apply(db))
     return L.T @ (term1 - term2 + term3)
 
 

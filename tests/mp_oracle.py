@@ -69,7 +69,7 @@ def mp_tls_kappa2(A, b):
     """kappa_2 of the TLS problem on (A, b) for L = I and unit weights, as a float.
 
     sigma_tilde^2 is lambda_min of [A, b]^T [A, b], Mt = A^T A - sigma_tilde^2 I
-    is inverted by LU, and the generators are those of tls_jacobian: w = r,
+    is inverted by LU, and the generators are TlsProblem's: w = r,
     U = Mt^{-1}, V = A U + 2 r (x^T U) / (1 + ||x||^2).  The Gram matrix of
     the first-order map is
     ||w||^2 U^T U - c d^T - d c^T + (||x||^2 + 1) V^T V, c = U^T x, d = V^T w.

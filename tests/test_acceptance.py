@@ -16,6 +16,7 @@ from ilscond import (
     SignatureSplit,
     StructuredParams,
     TlsNotGeneric,
+    TlsProblem,
     estimate_kappa2_pce,
     kappa_2ils,
     kappa_2ils_cross,
@@ -27,13 +28,11 @@ from ilscond import (
     kappa_mixed_tls,
     kappa_unified,
     make_basis,
-    solve_tls,
     spectral_interval,
     tls_blocks,
 )
 from ilscond.bench import run_experiment, table1_config, table2_config, table3_config
 from ilscond.cli import main as cli_main
-from ilscond.exact import JacobianMg
 from ilscond.kron import entrywise_div, vec
 
 from conftest import directional_derivative, random_ils
@@ -65,7 +64,7 @@ def test_criterion_1_formula_equivalence():
         k_cross = kappa_2ils_cross(prob, params)
         k_uni = kappa_unified(prob, params, 2, 2)
         worst_two = max(worst_two, _rel(k_fact, k_cross), _rel(k_fact, k_uni))
-        jac = JacobianMg.for_ils(prob)
+        jac = prob.jacobian()
         num_rows = jac.abs_weighted_rowsums(np.abs(prob.A), np.abs(prob.b))
         num_dense = np.abs(jac.dense()) @ np.abs(
             np.concatenate([vec(prob.A), prob.b])
@@ -111,7 +110,7 @@ def test_criterion_2_frechet_derivative():
 
 def _perturb_two_norm(prob, kappa, rng, samples):
     h = 1e-7
-    dense = JacobianMg.for_ils(prob).dense()
+    dense = prob.jacobian().dense()
     _, _, vt = np.linalg.svd(dense, full_matrices=False)
     dirs = [vt[0]] + [rng.standard_normal(dense.shape[1]) for _ in range(samples - 1)]
     for z in dirs:
@@ -229,7 +228,7 @@ def test_criterion_7_tls_suite():
         A = rng.standard_normal((m, n))
         b = A @ rng.standard_normal(n) + 0.4 * rng.standard_normal(m)
         try:
-            tls = solve_tls(A, b)
+            tls = TlsProblem(A, b)
         except TlsNotGeneric:
             continue
         full = np.column_stack([A, b])
@@ -248,7 +247,7 @@ def test_criterion_7_tls_suite():
         A = basis.embed(rng.standard_normal(basis.k))
         b = A @ rng.standard_normal(n) + 0.4 * rng.standard_normal(m)
         try:
-            tls = solve_tls(A, b)
+            tls = TlsProblem(A, b)
         except TlsNotGeneric:
             continue
         structured_checked += 1

@@ -6,6 +6,7 @@ import pytest
 from ilscond import (
     CondParams,
     SsceConfig,
+    TlsProblem,
     UndefinedConditionNumber,
     estimate_kappa2_pce,
     estimate_kappa2_ssce,
@@ -14,11 +15,10 @@ from ilscond import (
     kappa_2tls,
     kappa_componentwise,
     kappa_mixed,
-    solve_tls,
     spectral_interval,
     wallis,
 )
-from ilscond.exact import JacobianMg, normwise_map
+from ilscond.exact import normwise_map
 
 from conftest import random_ils
 
@@ -138,7 +138,7 @@ class TestSsce2:
     def test_tls_full_basis_is_frobenius_norm(self, rng):
         # with k = n the Wallis ratio is 1 and ||Q^T S||_F = ||S||_F >= ||S||_2
         A = rng.standard_normal((12, 4))
-        tls = solve_tls(A, A @ rng.standard_normal(4) + 0.3 * rng.standard_normal(12))
+        tls = TlsProblem(A, A @ rng.standard_normal(4) + 0.3 * rng.standard_normal(12))
         params = CondParams(psi=1.2, beta=0.8, xi=1.5)
         est = estimate_kappa2_ssce(tls, params, SsceConfig(k=tls.n, seed=3))
         frob = np.linalg.norm(normwise_map(tls, params)) / 1.5
@@ -201,7 +201,7 @@ class TestSsceInf:
         mixed, comp = estimate_kappa_inf_ssce(
             prob, CondParams(), SsceConfig(k=t, seed=9)
         )
-        jac = JacobianMg.for_ils(prob)
+        jac = prob.jacobian()
         rownorms = np.linalg.norm(jac.dense(), axis=1)
         x = prob.solution.x
         exp_mixed = rownorms.max() / np.abs(x).max()
@@ -212,7 +212,7 @@ class TestSsceInf:
 
     def test_tls_full_basis_row_norms(self, rng):
         A = rng.standard_normal((5, 2))
-        tls = solve_tls(A, A @ rng.standard_normal(2) + 0.3 * rng.standard_normal(5))
+        tls = TlsProblem(A, A @ rng.standard_normal(2) + 0.3 * rng.standard_normal(5))
         t = tls.m * (tls.n + 1)
         mixed, comp = estimate_kappa_inf_ssce(tls, CondParams(), SsceConfig(k=t, seed=9))
         rownorms = np.linalg.norm(tls.jacobian().dense(), axis=1)

@@ -45,7 +45,7 @@ class TestBuildMg:
     def test_action_matches_directional_derivative(self, rng):
         prob = random_ils(rng, m=12, n=5)
         L = rng.standard_normal((prob.n, 3))
-        jac = JacobianMg.for_ils(prob, L)
+        jac = prob.jacobian(L)
         for _ in range(10):
             dA = rng.standard_normal(prob.A.shape)
             db = rng.standard_normal(prob.m)
@@ -58,7 +58,7 @@ class TestBuildMg:
     def test_rows_equal_dense_assembly(self, rng):
         prob = random_ils(rng, m=6, n=3)
         L = rng.standard_normal((prob.n, 3))
-        jac = JacobianMg.for_ils(prob, L)
+        jac = prob.jacobian(L)
         dense = jac.dense()
         for i in range(jac.k):
             Ra, rb = jac.row(i)
@@ -69,7 +69,7 @@ class TestBuildMg:
         for _ in range(5):
             prob = random_ils(rng, m=6, n=3)
             L = rng.standard_normal((prob.n, 3))
-            dense = JacobianMg.for_ils(prob, L).dense()
+            dense = prob.jacobian(L).dense()
             oracle = dense_mg_oracle(prob, L)
             np.testing.assert_allclose(dense, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
 
@@ -78,7 +78,7 @@ class TestBuildMg:
         n = 4
         b = np.arange(1.0, n + 1)
         prob = IlsProblem(np.eye(n), b, SignatureSplit(n, 0))
-        jac = JacobianMg.for_ils(prob)
+        jac = prob.jacobian()
         x = prob.solution.x
         for i in range(n):
             Ra, rb = jac.row(i)
@@ -89,7 +89,7 @@ class TestBuildMg:
         prob = random_ils(rng, m=10, n=4)
         monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
         with pytest.raises(MemoryError):
-            JacobianMg.for_ils(prob).dense()
+            prob.jacobian().dense()
 
 
 class TestKappaUnified:
@@ -140,7 +140,7 @@ class TestKappaUnified:
         psi = np.ones(prob.A.shape)
         psi[0, 0] = 0.0
         params = CondParams(psi=psi, beta=np.ones(prob.m))
-        dense = JacobianMg.for_ils(prob).dense()
+        dense = prob.jacobian().dense()
         w = np.concatenate([vec(psi), np.ones(prob.m)])
         expected = np.linalg.norm(dense * w[None, :], 2)
         assert rel_err(kappa_unified(prob, params, 2, 2), expected) <= 1e-12
@@ -149,7 +149,7 @@ class TestKappaUnified:
 class TestWeightedGram:
     def test_gram_equals_product_of_dense_map(self, rng):
         prob = random_ils(rng, m=9, n=4)
-        jac = JacobianMg.for_ils(prob, rng.standard_normal((prob.n, 3)))
+        jac = prob.jacobian(rng.standard_normal((prob.n, 3)))
         Wa = rng.standard_normal(prob.A.shape)
         wb = rng.standard_normal(prob.m)
         s = rng.standard_normal(jac.k)
@@ -203,7 +203,7 @@ class TestWeightedGram:
         prob, _, _ = gen_example2(40, 12, 28, kappa, rho, seed=3)
         L = rng.standard_normal((prob.n, 4))
         for params in (CondParams(), CondParams(L=L, psi=0.7, beta=1.3, xi=2.0)):
-            dense = JacobianMg.for_ils(prob, params.l_matrix(prob.n)).dense()
+            dense = prob.jacobian(params.l_matrix(prob.n)).dense()
             got = kappa_unified(prob, params, 2, 2)
             assert rel_err(got, weighted_dense_norm(dense, params, prob.m, prob.n)) <= 1e-12
             assert rel_err(got, kappa_2ils(prob, params)) <= 1e-9
@@ -264,7 +264,7 @@ class TestBlockedRowsums:
         wb[::4] = 0.0
         check_rowsums(jac, Wa, wb)
 
-    def test_tls_jacobian(self, rng):
+    def test_tls_map(self, rng):
         A = rng.standard_normal((30, 8))
         tls = TlsProblem(A, A @ rng.standard_normal(8) + 0.3 * rng.standard_normal(30))
         check_rowsums(tls.jacobian(), np.abs(tls.A), np.abs(tls.b))
@@ -450,7 +450,7 @@ class TestPerturbationConsistency:
         params = CondParams()
         kappa = kappa_2ils(prob, params)
         h = 1e-7
-        dense = JacobianMg.for_ils(prob).dense()
+        dense = prob.jacobian().dense()
         _, _, vt = np.linalg.svd(dense, full_matrices=False)
         best = 0.0
         directions = [vt[0]] + [

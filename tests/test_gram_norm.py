@@ -11,7 +11,6 @@ import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-import ilscond.tls
 from ilscond import (
     CondParams,
     ConditionReport,
@@ -30,7 +29,6 @@ from ilscond import (
     kappa_mixed,
     kappa_mixed_tls,
     kappa_unified,
-    solve_tls,
 )
 from ilscond.bench import _run_trial, gen_example1, gen_example3, table1_config
 from ilscond.exact import JacobianMg, normwise_map, params_jacobian
@@ -159,22 +157,23 @@ def test_spectral_norms_take_no_svd(rng, monkeypatch):
     assert all(np.isfinite(v) and v > 0 for v in values)
 
 
-def _count_for_ils(monkeypatch):
+def _count_builds(monkeypatch, cls):
+    """Record the L of every map cls._build_jacobian builds."""
     calls = []
-    original = JacobianMg.for_ils
+    original = cls._build_jacobian
 
-    def counted(problem, L=None):
+    def counted(problem, L):
         calls.append(L)
         return original(problem, L)
 
-    monkeypatch.setattr(JacobianMg, "for_ils", staticmethod(counted))
+    monkeypatch.setattr(cls, "_build_jacobian", counted)
     return calls
 
 
 def test_ex1_trial_builds_one_jacobian(rng, monkeypatch):
     # kappa_2ils and the PCE share the identity-L map and its factored form S;
     # the small-sample estimate solves with its k directions only
-    calls = _count_for_ils(monkeypatch)
+    calls = _count_builds(monkeypatch, IlsProblem)
     forms = []
     form = JacobianMg._form_unit_factored
 
@@ -200,7 +199,7 @@ def test_ex1_trial_builds_one_jacobian(rng, monkeypatch):
 
 
 def test_kappa_unified_shares_identity_jacobian(rng, monkeypatch):
-    calls = _count_for_ils(monkeypatch)
+    calls = _count_builds(monkeypatch, IlsProblem)
     prob = random_ils(rng, m=16, n=6)
     ConditionReport(prob).mixed
     kappa_unified(prob, CondParams(), np.inf, np.inf)
@@ -212,14 +211,7 @@ def test_kappa_unified_shares_identity_jacobian(rng, monkeypatch):
 
 
 def test_tls_flavours_share_identity_jacobian(rng, monkeypatch):
-    calls = []
-    original = ilscond.tls.tls_jacobian
-
-    def counted(tls, L=None):
-        calls.append(L)
-        return original(tls, L)
-
-    monkeypatch.setattr(ilscond.tls, "tls_jacobian", counted)
+    calls = _count_builds(monkeypatch, TlsProblem)
     tls, _ = _toeplitz_tls(rng)
     ConditionReport(tls).mixed
     kappa_2tls(tls)
@@ -243,8 +235,8 @@ def _counted(monkeypatch, owner, name):
 def test_explicit_l_report_sequence_builds_one_map_per_problem(rng, monkeypatch):
     # the library-caller sequence of one partial report: every ILS flavour and
     # estimator shares one map for the explicit L, and both TLS flavours another
-    ils_builds = _count_for_ils(monkeypatch)
-    tls_builds = _counted(monkeypatch, ilscond.tls, "tls_jacobian")
+    ils_builds = _count_builds(monkeypatch, IlsProblem)
+    tls_builds = _count_builds(monkeypatch, TlsProblem)
     prob, _, _ = gen_example1(40, 20, 26, 2, 1.0, rng)
     tls = TlsProblem(prob.A, prob.b)
     L, _ = np.linalg.qr(rng.standard_normal((20, 4)))
@@ -324,9 +316,9 @@ def test_tls_left_orthogonal_invariance(seed, t):
     Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
     params = CondParams(psi=1.2, beta=0.8)
     try:
-        tls = solve_tls(A, b)
+        tls = TlsProblem(A, b)
         before = kappa_2tls(tls, params)
-        after = kappa_2tls(solve_tls(Q @ A, Q @ b), params)
+        after = kappa_2tls(TlsProblem(Q @ A, Q @ b), params)
     except TlsNotGeneric:
         assume(False)
     tol = 100 * n * np.finfo(float).eps * np.linalg.cond(A)

@@ -81,10 +81,10 @@ class TestCheckSpd:
         # R_p = I up to signs, so I - W W^T = [[0, -1], [-1, 0]]
         assert "-1.000e+00" in str(info.value)
 
+    @pytest.mark.filterwarnings("error")
     def test_split_mismatch(self):
-        with pytest.warns(UserWarning, match="m > n"):
-            with pytest.raises(ValueError):
-                IlsProblem(np.eye(3), np.zeros(3), SignatureSplit(2, 2))
+        with pytest.raises(ValueError):
+            IlsProblem(np.eye(3), np.zeros(3), SignatureSplit(2, 2))
 
 
 class TestQrCertificate:
@@ -117,7 +117,7 @@ class TestQrCertificate:
         assert np.all(prob.A[prob.p:] == 0) == (cholesky_calls == 0)
         # the solution still satisfies A^T J r = 0
         r = prob.solution.r
-        assert np.linalg.norm(prob.A.T @ prob.j_apply(r)) <= 1e-12 * (
+        assert np.linalg.norm(prob.A.T @ prob.split.apply(r)) <= 1e-12 * (
             np.linalg.norm(prob.A) * np.linalg.norm(r) + np.linalg.norm(prob.A.T @ prob.b))
 
     def test_numerically_singular_names_the_bound(self, rng):
@@ -126,10 +126,10 @@ class TestQrCertificate:
         with pytest.raises(NumericallySingular, match=r"1/\(max\(m, n\) eps\)"):
             IlsProblem(A, rng.standard_normal(12), SignatureSplit(12, 0))
 
+    @pytest.mark.filterwarnings("error")
     def test_fewer_rows_than_columns_is_singular(self, rng):
-        with pytest.warns(UserWarning, match="m >= n always"):
-            with pytest.raises(NumericallySingular, match="3 rows and 5 columns"):
-                IlsProblem(rng.standard_normal((3, 5)), np.ones(3), SignatureSplit(3, 0))
+        with pytest.raises(NumericallySingular, match="3 rows and 5 columns"):
+            IlsProblem(rng.standard_normal((3, 5)), np.ones(3), SignatureSplit(3, 0))
 
     def test_fewer_positive_rows_than_columns_is_not_definite(self, rng, monkeypatch):
         # A^T J A <= A_p^T A_p, whose rank is at most p < n: refused before any QR
@@ -184,7 +184,7 @@ class TestSolve:
         for _ in range(10):
             prob = random_ils(rng)
             sol = prob.solution
-            rhs = prob.A.T @ prob.j_apply(prob.b)
+            rhs = prob.A.T @ prob.split.apply(prob.b)
             M = signed_gram(prob.A, prob.split)
             resid = np.linalg.norm(M @ sol.x - rhs)
             bound = 1e-10 * (
@@ -208,10 +208,11 @@ class TestSolve:
             z = rng.standard_normal(prob.n)
             assert z @ M @ z > 0.0
 
+    @pytest.mark.filterwarnings("error")
     def test_warns_when_not_genuinely_overdetermined(self):
-        with pytest.warns(UserWarning, match="m > n"):
-            with pytest.raises(NotPositiveDefinite):
-                IlsProblem(np.eye(2), [1.0, 1.0], SignatureSplit(1, 1))
+        # m = n with q > 0 leaves p < n: the error comes with no warning before it
+        with pytest.raises(NotPositiveDefinite):
+            IlsProblem(np.eye(2), [1.0, 1.0], SignatureSplit(1, 1))
 
 
 def _l_routes(L):
@@ -265,7 +266,7 @@ class TestBoundaryValidation:
 class TestApplyMinv:
     def test_m_itself_gives_identity(self, rng):
         prob = random_ils(rng)
-        out = prob.apply_minv(signed_gram(prob.A, prob.split))
+        out = prob.factor.solve(signed_gram(prob.A, prob.split))
         np.testing.assert_allclose(out, np.eye(prob.n), atol=1e-10)
 
     def test_two_by_two_adjugate(self):
@@ -273,18 +274,18 @@ class TestApplyMinv:
         prob = IlsProblem(A, np.zeros(3), SignatureSplit(2, 1))
         # M = [[3,-1],[-1,3]], inverse = [[3,1],[1,3]]/8
         np.testing.assert_allclose(
-            prob.apply_minv(np.array([1.0, 0.0])), [3.0 / 8.0, 1.0 / 8.0], rtol=1e-14
+            prob.factor.solve(np.array([1.0, 0.0])), [3.0 / 8.0, 1.0 / 8.0], rtol=1e-14
         )
 
     def test_empty_block(self, rng):
         prob = random_ils(rng)
-        out = prob.apply_minv(np.zeros((prob.n, 0)))
+        out = prob.factor.solve(np.zeros((prob.n, 0)))
         assert out.shape == (prob.n, 0)
 
     def test_dimension_mismatch(self, rng):
         prob = random_ils(rng)
         with pytest.raises(ValueError):
-            prob.apply_minv(np.ones(prob.n + 1))
+            prob.factor.solve(np.ones(prob.n + 1))
 
 
 class TestFrechetDerivative:

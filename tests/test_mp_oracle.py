@@ -20,7 +20,7 @@ mpmath each and run with ``-m mpmath_desk``.
 import numpy as np
 import pytest
 
-from ilscond import ConditionReport, kappa_2ils, kappa_2tls, solve_tls
+from ilscond import ConditionReport, TlsProblem, kappa_2ils, kappa_2tls
 from ilscond.bench import gen_example1, gen_example2
 
 from mp_oracle import mp_condition_numbers, mp_tls_kappa2
@@ -125,6 +125,6 @@ def test_tls_small(kappa):
     A = (Q * s) @ W.T
     b = A @ rng.standard_normal(n) + 1e-2 * s[-1] * rng.standard_normal(m)
     exact = mp_tls_kappa2(A, b)
-    err = abs(kappa_2tls(solve_tls(A, b)) - exact) / exact
+    err = abs(kappa_2tls(TlsProblem(A, b)) - exact) / exact
     bound = C * n * EPS * np.linalg.cond(A)
     assert err <= bound, f"kappa_2tls: relative error {err:.2e} above {bound:.2e}"

@@ -16,7 +16,6 @@ from ilscond import (
     kappa_componentwise,
     kappa_componentwise_structured,
     kappa_componentwise_tls,
-    kappa_inf_structured_general,
     kappa_mixed,
     kappa_mixed_structured,
     kappa_mixed_tls,
@@ -74,7 +73,7 @@ def _standalone(problem, params, sparams):
         "structured_mixed": kappa_mixed_structured(problem, params, sparams),
         "structured_componentwise": kappa_componentwise_structured(
             problem, params, sparams),
-        "structured_general": kappa_inf_structured_general(problem, params, sparams),
+        "structured_general": ConditionReport(problem, params, sparams).structured_general,
     }
 
 
@@ -119,13 +118,13 @@ def test_every_shared_piece_is_built_once(kind, rng, monkeypatch):
 def test_ex2_trial_builds_one_jacobian(rng, monkeypatch):
     # the exact values and the small-sample estimates share one identity-L map
     calls = []
-    original = JacobianMg.for_ils
+    original = IlsProblem._build_jacobian
 
-    def counted(problem, L=None):
+    def counted(problem, L):
         calls.append(L)
         return original(problem, L)
 
-    monkeypatch.setattr(JacobianMg, "for_ils", staticmethod(counted))
+    monkeypatch.setattr(IlsProblem, "_build_jacobian", counted)
     values = _run_trial(table2_config(trials=1), 1e4, 1.0, rng)
     assert np.isfinite(values["r_m"]) and np.isfinite(values["r_c"])
     assert len(calls) == 1
@@ -162,7 +161,7 @@ def test_structured_fields_need_structure(rng):
         report.structured_mixed
 
 
-def test_apply_minv_row_count_checked_alike(rng):
+def test_factor_solve_row_count_checked_alike(rng):
     A = rng.standard_normal((9, 3))
     b = A @ np.ones(3) + 0.3 * rng.standard_normal(9)
     problems = [
@@ -174,6 +173,6 @@ def test_apply_minv_row_count_checked_alike(rng):
     messages = []
     for problem in problems:
         with pytest.raises(ValueError) as info:
-            problem.apply_minv(np.ones(4))
+            problem.factor.solve(np.ones(4))
         messages.append(str(info.value))
     assert messages == ["operand has 4 rows, expected 3"] * 3

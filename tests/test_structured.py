@@ -4,6 +4,7 @@ import scipy.linalg
 
 from ilscond import (
     CondParams,
+    ConditionReport,
     IlsProblem,
     SignatureSplit,
     StructureMismatch,
@@ -12,7 +13,6 @@ from ilscond import (
     kappa_2ils_structured,
     kappa_componentwise,
     kappa_componentwise_structured,
-    kappa_inf_structured_general,
     kappa_mixed,
     kappa_mixed_structured,
     make_basis,
@@ -247,7 +247,7 @@ class TestStructuredGeneral:
         gen = StructuredParams(sparams.basisA, sparams.basisB, varphi=s1, theta=s2)
         params = CondParams(xi=np.full(prob.n, np.abs(x).max()))
         assert rel_err(
-            kappa_inf_structured_general(prob, params, gen),
+            ConditionReport(prob, params, gen).structured_general,
             kappa_mixed_structured(prob, CondParams(), sparams),
         ) <= 1e-12
 
@@ -262,7 +262,7 @@ class TestStructuredGeneral:
         GA, GB = _dense_blkdiag_oracle(prob, sparams)
         expected = np.max(np.abs(GB) @ np.abs(prob.b))
         assert rel_err(
-            kappa_inf_structured_general(prob, CondParams(), gen), expected
+            ConditionReport(prob, CondParams(), gen).structured_general, expected
         ) <= 1e-12
 
     def test_random_weights_match_dense_oracle(self, rng):
@@ -275,5 +275,5 @@ class TestStructuredGeneral:
         GA, GB = _dense_blkdiag_oracle(prob, sparams)
         num = np.abs(GA) @ np.abs(phi) + np.abs(GB) @ np.abs(theta)
         expected = np.max(np.abs(num * ddagger(np.abs(xi))))
-        got = kappa_inf_structured_general(prob, CondParams(xi=xi), gen)
+        got = ConditionReport(prob, CondParams(xi=xi), gen).structured_general
         assert rel_err(got, expected) <= 1e-12

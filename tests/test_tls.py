@@ -22,9 +22,7 @@ from ilscond import (
     kappa_mixed_tls,
     kappa_unified,
     make_basis,
-    solve_tls,
     tls_blocks,
-    tls_jacobian,
 )
 from ilscond.kron import entrywise_div, vec
 from ilscond.tls import ComposedBlocks
@@ -79,14 +77,14 @@ def dense_tls_map(tls, L=None):
 
 class TestSolveTls:
     def test_consistent_column(self):
-        tls = solve_tls(np.array([[1.0], [0.0]]), np.array([2.0, 0.0]))
+        tls = TlsProblem(np.array([[1.0], [0.0]]), np.array([2.0, 0.0]))
         assert tls.sigma_tilde == pytest.approx(0.0, abs=1e-14)
         assert tls.x[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_matches_svd_oracle(self, rng):
         for _ in range(100):
             A, b = random_tls(rng)
-            tls = solve_tls(A, b)
+            tls = TlsProblem(A, b)
             x_ref = svd_tls_oracle(A, b)
             assert np.linalg.norm(tls.x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
 
@@ -97,11 +95,11 @@ class TestSolveTls:
         U, s, Vt = np.linalg.svd(A, full_matrices=True)
         b = U[:, 5] * s[-1]
         with pytest.raises(TlsNotGeneric):
-            solve_tls(A, b)
+            TlsProblem(A, b)
 
     def test_wide_rejected(self):
         with pytest.raises(ValueError):
-            solve_tls(np.eye(3), np.ones(3))
+            TlsProblem(np.eye(3), np.ones(3))
 
 
 class TestStackedRoute:
@@ -110,13 +108,13 @@ class TestStackedRoute:
     def test_sigma_n_is_smallest_singular_value_of_a(self, rng):
         for _ in range(10):
             A, b = random_tls(rng)
-            tls = solve_tls(A, b)
+            tls = TlsProblem(A, b)
             s_a = np.linalg.svd(A, compute_uv=False)
             assert tls.sigma_n == pytest.approx(s_a[-1], rel=1e-12)
 
     def test_x_and_r_match_an_explicit_stacked_problem(self, rng):
         A, b = random_tls(rng)
-        tls = solve_tls(A, b)
+        tls = TlsProblem(A, b)
         stacked = stacked_ils(A, tls.sigma_tilde * np.eye(3), b, np.zeros(3))
         np.testing.assert_array_equal(tls.x, stacked.solution.x)
         np.testing.assert_array_equal(tls.r, stacked.solution.r[:10])
@@ -167,20 +165,20 @@ class TestStackedRoute:
         A = rng.standard_normal((10, 3))
         A[:, 1] = 0.0
         with pytest.raises(TlsNotGeneric, match="lost definiteness") as info:
-            solve_tls(A, rng.standard_normal(10))
+            TlsProblem(A, rng.standard_normal(10))
         assert isinstance(info.value.__cause__, NotPositiveDefinite)
 
     def test_ill_conditioned_instance_warns(self, rng):
         A, b = ill_conditioned_tls(rng)
         with pytest.warns(IllConditionedWarning):
-            tls = solve_tls(A, b)
+            tls = TlsProblem(A, b)
         assert tls.ill_conditioned
 
     def test_ill_conditioned_warning_names_the_caller(self, rng):
         A, b = ill_conditioned_tls(rng)
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
-            solve_tls(A, b)
+            TlsProblem(A, b)
         flagged = [w for w in log if issubclass(w.category, IllConditionedWarning)]
         assert len(flagged) == 1
         assert flagged[0].filename == __file__
@@ -193,12 +191,12 @@ class TestBoundaryValidation:
         A, b = random_tls(rng)
         A[1, 2] = np.nan
         with pytest.raises(ValueError, match="A has non-finite entries"):
-            solve_tls(A, b)
+            TlsProblem(A, b)
 
     def test_complex_b_rejected(self, rng):
         A, b = random_tls(rng)
         with pytest.raises(ValueError, match="b must be real"):
-            solve_tls(A, b.astype(complex))
+            TlsProblem(A, b.astype(complex))
 
     def test_stacked_complex_lower_block_rejected(self, rng):
         A, b = random_tls(rng, m=9, n=3)
@@ -215,7 +213,7 @@ class TestKappa2Tls:
     def test_matches_composed_blocks_path(self, rng):
         for _ in range(10):
             A, b = random_tls(rng, m=9, n=3)
-            tls = solve_tls(A, b)
+            tls = TlsProblem(A, b)
             stacked = stacked_ils(A, tls.sigma_tilde * np.eye(3), b, np.zeros(3))
             sol = stacked.solution
             np.testing.assert_allclose(sol.x, tls.x, rtol=1e-10)
@@ -228,14 +226,14 @@ class TestKappa2Tls:
 
     def test_matches_dense_kronecker_oracle(self, rng):
         A, b = random_tls(rng, m=8, n=3)
-        tls = solve_tls(A, b)
+        tls = TlsProblem(A, b)
         expected = np.linalg.norm(dense_tls_map(tls), 2)
         assert rel_err(kappa_2tls(tls), expected) <= 1e-10
 
     def test_weighted_partial_matches_dense_kronecker_oracle(self, rng):
         for _ in range(5):
             A, b = random_tls(rng, m=11, n=4)
-            tls = solve_tls(A, b)
+            tls = TlsProblem(A, b)
             L = rng.standard_normal((4, 2))
             psi, beta, xi = 1.2, 0.7, 1.5
             mat = dense_tls_map(tls, L)
@@ -255,14 +253,14 @@ class TestKappa2Tls:
         s = np.logspace(0, -5, n)
         A = (Q * s) @ W.T
         b = A @ rng.standard_normal(n) + 1e-3 * s[-1] * rng.standard_normal(m)
-        tls = solve_tls(A, b)
+        tls = TlsProblem(A, b)
         for L in (None, rng.standard_normal((n, 3))):
-            expected = np.linalg.norm(tls_jacobian(tls, L).dense(), 2)
+            expected = np.linalg.norm(tls.jacobian(L).dense(), 2)
             assert rel_err(kappa_2tls(tls, CondParams(L=L)), expected) <= 1e-12
 
     def test_does_not_materialise_the_map(self, rng, monkeypatch):
         A, b = random_tls(rng, m=10, n=3)
-        tls = solve_tls(A, b)
+        tls = TlsProblem(A, b)
         params = CondParams(L=rng.standard_normal((3, 2)), psi=1.1, beta=0.9, xi=1.3)
         before = [kappa_2tls(tls), kappa_2tls(tls, params)]
         monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
@@ -275,21 +273,21 @@ class TestKappa2Tls:
         w /= np.linalg.norm(w)
         vals = []
         for eps in (1e-4, 1e-6, 1e-8):
-            tls = solve_tls(A, A @ x + eps * w)
+            tls = TlsProblem(A, A @ x + eps * w)
             vals.append(kappa_2tls(tls))
         assert rel_err(vals[1], vals[2]) <= 1e-3
 
     def test_left_orthogonal_invariance(self, rng):
         A, b = random_tls(rng, m=9, n=4)
         Q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
-        t1 = solve_tls(A, b)
-        t2 = solve_tls(Q @ A, Q @ b)
+        t1 = TlsProblem(A, b)
+        t2 = TlsProblem(Q @ A, Q @ b)
         params = CondParams(psi=1.2, beta=0.7, xi=2.0)
         assert rel_err(kappa_2tls(t1, params), kappa_2tls(t2, params)) <= 1e-9
 
     def test_perturbation_consistency(self, rng):
         A, b = random_tls(rng, m=10, n=3)
-        tls = solve_tls(A, b)
+        tls = TlsProblem(A, b)
         kappa = kappa_2tls(tls)
         h = 1e-7
         dense = dense_tls_map(tls)
@@ -300,7 +298,7 @@ class TestKappa2Tls:
             z = z / np.linalg.norm(z)
             dA = h * z[: 10 * 3].reshape((10, 3), order="F")
             db = h * z[10 * 3 :]
-            pert = solve_tls(A + dA, b + db)
+            pert = TlsProblem(A + dA, b + db)
             resp = np.linalg.norm(pert.x - tls.x) / h
             assert resp <= kappa * (1.0 + 1e-3)
             best = max(best, resp)
@@ -319,10 +317,7 @@ class TestComposed:
         blocks = ComposedBlocks.zero(8, 3, 2)
         params = CondParams()
         got = kappa_composed_ils(stacked, blocks, params, 2, 2)
-
-        from ilscond.exact import JacobianMg
-
-        full_map = JacobianMg.for_ils(stacked).dense()
+        full_map = stacked.jacobian().dense()
         # columns of the stacked map touching (dA, db) only
         m, n, s = 8, 3, 2
         keep_a = [j * (m + s) + i for j in range(n) for i in range(m)]
@@ -346,7 +341,7 @@ class TestComposed:
         # vec(dB) = M1 vec(dA) + M2 db predicts the change of sigma*I; check
         # it against finite differences of the smallest singular value
         A, b = random_tls(rng, m=9, n=3)
-        tls = solve_tls(A, b)
+        tls = TlsProblem(A, b)
         blocks = tls_blocks(tls)
         dA = rng.standard_normal((9, 3))
         db = rng.standard_normal(9)
@@ -361,7 +356,7 @@ class TestComposed:
     def test_blocks_guard_consistent_system(self, rng):
         A = rng.standard_normal((8, 3))
         x = rng.standard_normal(3)
-        tls = solve_tls(A, A @ x + 1e-15 * rng.standard_normal(8))
+        tls = TlsProblem(A, A @ x + 1e-15 * rng.standard_normal(8))
         with pytest.raises(TlsNotGeneric):
             tls_blocks(tls)
 
@@ -377,7 +372,7 @@ class TestComposed:
 class TestKappaInfTls:
     def test_matches_dense_oracle(self, rng):
         A, b = random_tls(rng, m=8, n=3)
-        tls = solve_tls(A, b)
+        tls = TlsProblem(A, b)
         dense = np.abs(dense_tls_map(tls))
         num = dense @ np.abs(np.concatenate([vec(A), b]))
         exp_m = num.max() / np.abs(tls.x).max()
@@ -387,8 +382,8 @@ class TestKappaInfTls:
 
     def test_degree_zero_homogeneity(self, rng):
         A, b = random_tls(rng, m=9, n=3)
-        t1 = solve_tls(A, b)
-        t2 = solve_tls(3.0 * A, 3.0 * b)
+        t1 = TlsProblem(A, b)
+        t2 = TlsProblem(3.0 * A, 3.0 * b)
         assert rel_err(kappa_mixed_tls(t1), kappa_mixed_tls(t2)) <= 1e-10
         assert rel_err(
             kappa_componentwise_tls(t1), kappa_componentwise_tls(t2)
@@ -396,8 +391,8 @@ class TestKappaInfTls:
 
     def test_rows_agree_with_jacobian_dense(self, rng):
         A, b = random_tls(rng, m=7, n=3)
-        tls = solve_tls(A, b)
-        jac = tls_jacobian(tls)
+        tls = TlsProblem(A, b)
+        jac = tls.jacobian()
         np.testing.assert_allclose(jac.dense(), dense_tls_map(tls), rtol=1e-10,
                                    atol=1e-12)
 
@@ -410,14 +405,14 @@ class TestStructuredTls:
             x = rng.standard_normal(n)
             b = A @ x + 0.3 * rng.standard_normal(m)
             try:
-                return solve_tls(A, b), StructuredParams(basis, make_basis("full", m))
+                return TlsProblem(A, b), StructuredParams(basis, make_basis("full", m))
             except TlsNotGeneric:
                 continue
         raise RuntimeError("no generic structured instance found")
 
     def test_full_reduction(self, rng):
         A, b = random_tls(rng, m=8, n=3)
-        tls = solve_tls(A, b)
+        tls = TlsProblem(A, b)
         sparams = StructuredParams(make_basis("full", 8, 3), make_basis("full", 8))
         report = ConditionReport(tls, CondParams(), sparams)
         assert rel_err(report.structured_2, kappa_2tls(tls)) <= 1e-12

@@ -156,6 +156,9 @@ class ExperimentConfig:
         else:
             if not (self.n <= self.p < self.m):
                 raise ValueError("need n <= p < m")
+        for name in ("trials", "k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     def cells(self):
         if self.example == "ex3":
@@ -214,7 +217,6 @@ class TrialRecord:
     rho: float
     trial: int
     values: dict
-    elapsed: float = 0.0
 
 
 _CSV_COLUMNS = {
@@ -404,26 +406,19 @@ def run_experiment(config):
     result = ExperimentResult(config=config)
     cells = config.cells()
     root = np.random.SeedSequence(config.seed)
-    children = root.spawn(len(cells) * config.trials)
-    idx = 0
+    children = iter(root.spawn(len(cells) * config.trials))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         warnings.simplefilter("ignore", RuntimeWarning)
         for kappa_label, rho in cells:
             for trial in range(config.trials):
-                rng = np.random.default_rng(children[idx])
-                idx += 1
-                t1 = time.perf_counter()
+                rng = np.random.default_rng(next(children))
                 try:
                     values = _run_trial(config, kappa_label, rho, rng)
                 except NotPositiveDefinite:
                     key = (kappa_label, rho)
                     result.failures[key] = result.failures.get(key, 0) + 1
                     continue
-                result.records.append(TrialRecord(
-                    example=config.example, kappa_label=kappa_label, rho=rho,
-                    trial=trial, values=values,
-                    elapsed=time.perf_counter() - t1,
-                ))
+                result.records.append(TrialRecord(config.example, kappa_label, rho, trial, values))
     result.elapsed = time.perf_counter() - t0
     return result

@@ -123,9 +123,11 @@ def _cmd_exact(args):
 
 
 def _cmd_estimate(args):
+    seeds = np.random.SeedSequence(args.seed).spawn(3)
+    # both configs first, so that a bad --k fails before any value is printed
+    ssce2, ssce_inf = (SsceConfig(k=args.k, seed=seed) for seed in seeds[1:])
     problem, _ = probfile.load_problem(args.problem)
     params = CondParams()
-    seeds = np.random.SeedSequence(args.seed).spawn(3)
     est, interval = estimate_kappa2_pce(
         problem, params, delta=args.delta, epsilon=args.epsilon,
         seed=seeds[0], return_interval=True,
@@ -133,10 +135,9 @@ def _cmd_estimate(args):
     flag = " (ratio target not met)" if interval.ratio_not_met else ""
     print(f"kappa_2 probabilistic = {est:.6e} "
           f"[{interval.alpha1:.6e}, {interval.alpha2:.6e}]{flag}")
-    ssce = estimate_kappa2_ssce(problem, params, SsceConfig(k=args.k, seed=seeds[1]))
+    ssce = estimate_kappa2_ssce(problem, params, ssce2)
     print(f"kappa_2 small-sample  = {ssce:.6e}")
-    sm, sc = estimate_kappa_inf_ssce(problem, params,
-                                     SsceConfig(k=args.k, seed=seeds[2]))
+    sm, sc = estimate_kappa_inf_ssce(problem, params, ssce_inf)
     print(f"kappa_mixed small-sample = {sm:.6e}")
     print(f"kappa_comp  small-sample = {sc:.6e}")
     return 0

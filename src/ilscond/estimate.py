@@ -9,6 +9,7 @@ condition numbers.  All randomness flows from explicit seeds.
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse.linalg
@@ -88,6 +89,12 @@ class SsceConfig:
     k: int = 3
     seed: int | None = None
     rng: np.random.Generator | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.k, Integral):
+            raise TypeError("k must be an integer")
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
 
     def make_rng(self):
         if self.rng is not None:

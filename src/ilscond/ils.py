@@ -11,7 +11,6 @@ which every subsequent M^{-1} application reuses.
 """
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,18 +41,6 @@ class IllConditionedWarning(UserWarning):
 
 
 EPS = np.finfo(float).eps
-
-
-def _caller_stacklevel():
-    """The stacklevel, for a warning its caller issues, of the first frame outside the package.
-
-    A TlsProblem's stacked IlsProblem then warns at the line that built the
-    TlsProblem, not inside tls.py.
-    """
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_globals.get("__name__", "").startswith(__package__ + "."):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 @dataclass(frozen=True)
@@ -90,8 +77,9 @@ class SignatureSplit:
 class SpdFactor:
     """Certified factor M = F^T F of a symmetric positive definite matrix.
 
-    Wraps the upper-triangular F = G^T R_p that _normal_factor certifies from
-    the QR factorization of A_p; M itself is never formed.
+    Wraps the upper-triangular F = G^T R that _certified_solve certifies from
+    a QR factor R (of A_p, or of [A, b] for a TLS problem); M itself is never
+    formed.
 
     ``cond_upper`` and ``sigma_min_lower`` bound cond(F) from above and
     sigma_min(F) from below without an SVD, from one triangular inverse and
@@ -165,29 +153,20 @@ class SpdFactor:
         return out[:, 0] if single else out
 
 
-def _normal_factor(A, split):
-    # certify A^T J A = F^T F for an A that checked_data has already validated;
-    # also returns the pieces (qr, tau, W, G; W and G None when A_q = 0) from
-    # which IlsProblem forms its solution
-    m, n = A.shape
-    p = split.p
-    if split.m != m:
-        raise ValueError(f"signature split p+q={split.m} does not match m={m}")
-    if m < n:
-        raise NumericallySingular(f"A has {m} rows and {n} columns, so A^T J A is singular")
-    if p < n:
-        raise NotPositiveDefinite(
-            f"only p = {p} rows carry signature +1 for n = {n} columns: A^T J A <= "
-            "A_p^T A_p, of rank at most p, is not positive definite")
-    bound = 1.0 / (max(m, n) * EPS)
-    # R_p is the upper triangle of qr's leading n rows; LAPACK reads no further
-    qr, tau, _, _ = dgeqrf(A[:p])
-    if not A[p:].any():
-        # A_q = 0 (every ex1 instance): C = I exactly, so G = I and F = R_p
-        W = G = None
-        F = np.triu(qr[:n])
+def _certified_solve(R, A_q, y, b_q, bound):
+    """Certify M = R^T R - A_q^T A_q = F^T F; solve M x = R^T y - A_q^T b_q.
+
+    R is read in its leading n rows' upper triangle; y and b_q are columns.
+    Raises and warns as IlsProblem documents, the warning at the caller's
+    caller.  Returns (factor, x, ill_conditioned).
+    """
+    n = R.shape[1]
+    if not A_q.any():
+        # A_q = 0 (every ex1 instance): C = I exactly, so G = I and F = R
+        W = None
+        F = np.triu(R[:n])
     else:
-        W, info = dtrtrs(qr, A[p:].T, lower=0, trans=1, lda=p)
+        W, info = dtrtrs(R, A_q.T, lower=0, trans=1, lda=R.shape[0])
         if info > 0:
             raise NumericallySingular(_singular_message(np.inf, bound))
         C = -(W @ W.T)
@@ -199,12 +178,23 @@ def _normal_factor(A, split):
                 "I - W W^T (W = R_p^{-T} A_q^T, congruent to A^T J A) is not positive "
                 "definite; the problem has no unique solution (smallest eigenvalue "
                 f"{float(np.linalg.eigvalsh(C)[0]):.3e})") from exc
-        F = dtrmm(1.0, qr, G.T, side=1)
+        F = dtrmm(1.0, R, G.T, side=1)
     factor = SpdFactor(F)
     # the SVD decides only where the bound cannot
     if factor.cond_upper >= bound and factor.cond >= bound:
         raise NumericallySingular(_singular_message(factor.cond, bound))
-    return factor, (qr, tau, W, G)
+    if W is not None:
+        y = dtrtrs(G, y - W @ b_q, lower=1)[0]
+    x = dtrtrs(factor.chol, y, lower=1, trans=1)[0][:, 0]
+    ill_conditioned = EPS * factor.cond_upper > 1e-3 and EPS * factor.cond > 1e-3
+    if ill_conditioned:
+        warnings.warn(
+            f"A^T J A = F^T F is nearly singular (cond(F) ~ {factor.cond:.2e}); "
+            "condition numbers remain computable but lose accuracy",
+            IllConditionedWarning,
+            stacklevel=3,
+        )
+    return factor, x, ill_conditioned
 
 
 def _singular_message(cond, bound):
@@ -242,7 +232,7 @@ class IlsProblem(SharedJacobian):
     exactly the interesting regime.  Both checks read the factor's
     SVD-free ``cond_upper`` first and take the SVD of F only when that
     bound reaches the threshold, so their outcome is the SVD's.  Warnings
-    name the first caller outside the package.
+    name the line that built the problem.
 
     Construction also solves M x = A^T J b, with
     A^T J b = R_p^T ((Q_p^T b_p)[:n] - W b_q), as
@@ -259,27 +249,26 @@ class IlsProblem(SharedJacobian):
         m, n = A.shape
         if b.size != m:
             raise ValueError(f"b has length {b.size}, expected {m}")
+        if split.m != m:
+            raise ValueError(f"signature split p+q={split.m} does not match m={m}")
+        if m < n:
+            raise NumericallySingular(f"A has {m} rows and {n} columns, so A^T J A is singular")
+        p = split.p
+        if p < n:
+            raise NotPositiveDefinite(
+                f"only p = {p} rows carry signature +1 for n = {n} columns: A^T J A <= "
+                "A_p^T A_p, of rank at most p, is not positive definite")
         self.A = A
         self.b = b
         self.split = split
         self.m = m
         self.n = n
-        self.factor, (qr, tau, W, G) = _normal_factor(A, split)
+        qr, tau, _, _ = dgeqrf(A[:p])
         # Q_p^T is applied by its reflectors, never formed
-        y = dormqr("L", "T", qr, tau, b[:split.p, None], 1)[0][:n]
-        if W is not None:
-            y = dtrtrs(G, y - W @ b[split.p:, None], lower=1)[0]
-        x = dtrtrs(self.factor.chol, y, lower=1, trans=1)[0][:, 0]
+        y = dormqr("L", "T", qr, tau, b[:p, None], 1)[0][:n]
+        self.factor, x, self.ill_conditioned = _certified_solve(
+            qr, A[p:], y, b[p:, None], 1.0 / (max(m, n) * EPS))
         self.solution = IlsSolution(x=x, r=b - A @ x)
-        self.ill_conditioned = (EPS * self.factor.cond_upper > 1e-3
-                                and EPS * self.factor.cond > 1e-3)
-        if self.ill_conditioned:
-            warnings.warn(
-                f"A^T J A = F^T F is nearly singular (cond(F) ~ {self.factor.cond:.2e}); "
-                "condition numbers remain computable but lose accuracy",
-                IllConditionedWarning,
-                stacklevel=_caller_stacklevel(),
-            )
 
     @property
     def p(self):

@@ -3,12 +3,12 @@
 A TLS instance min ||[E, e]||_F s.t. (A+E)x = b+e is the indefinite problem
 on [A; sigma I_n] with signature diag(I_m, -I_n), where sigma is the
 smallest singular value of [A, b].  This module solves generic TLS
-instances from one Householder QR of [A, b], as the IlsProblem on
-[R_A; sigma I_n] with the same normal matrix and right-hand side, evaluates
-their partial condition numbers (unified, 2-norm, mixed, componentwise; the
-structured ones are fields of exact.ConditionReport on a TlsProblem), and
-provides the general composed first-order machinery for a stacked
-IlsProblem on [A; B] whose lower blocks depend on the data.
+instances from one Householder QR of [A, b], whose triangle goes straight
+to ils._certified_solve, the certify-and-solve routine of IlsProblem,
+evaluates their partial condition numbers (unified, 2-norm, mixed,
+componentwise; the structured ones are fields of exact.ConditionReport on a
+TlsProblem), and provides the general composed first-order machinery for a
+stacked IlsProblem on [A; B] whose lower blocks depend on the data.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dgeqrf
 
 from .exact import (CondParams, JacobianMg, SharedJacobian, _induced_norm, kappa_2ils,
                     kappa_componentwise, kappa_mixed)
-from .ils import IlsProblem, NotPositiveDefinite, SignatureSplit
+from .ils import EPS, NotPositiveDefinite, _certified_solve
 from .kron import checked_data, ddagger, vec
 
 # relative gap below which sigma_tilde is not separated from sigma_n(A)
@@ -38,14 +38,13 @@ class TlsProblem(SharedJacobian):
     Construction takes one Householder QR of [A, b], which gives the
     (n + 1) x (n + 1) triangle [[R_A, z], [0, rho]].  sigma_tilde, the
     smallest singular value of [A, b], is that of the triangle (one
-    values-only SVD).  The IlsProblem on [R_A; sigma_tilde I_n], [z; 0]
-    with signature diag(I_n, -I_n) has the A^T J A,
-    Mt = A^T A - sigma_tilde^2 I, and the A^T J b = R_A^T z = A^T b of the
-    stacked problem on [A; sigma_tilde I_n], [b; 0], so the same solution
-    x = Mt^{-1} A^T b; its ``factor``, the certified Mt = F^T F, is behind
-    every Mt^{-1} product, with errors that grow with cond(A), not
-    cond(Mt).  The residual r = b - A x is computed from A.  Only these and
-    ``ill_conditioned`` are kept, not the (m + n) x n stack.
+    values-only SVD).  The stacked ILS problem on [A; sigma_tilde I_n],
+    [b; 0] has Mt = A^T A - sigma_tilde^2 I and A^T b = R_A^T z, so
+    ils._certified_solve, which certifies and solves every IlsProblem,
+    solves it, unformed, from R = R_A, A_q = sigma_tilde I_n, y = z,
+    b_q = 0 and the bound 1/(2n eps) of the 2n rows [R_A; sigma_tilde I_n].
+    Its ``factor``, the certified Mt = F^T F, is behind every Mt^{-1}
+    product, with errors that grow with cond(A), not cond(Mt).
     sigma_n(A) = hypot(sigma_min(F), sigma_tilde), and the instance is
     generic when sigma_tilde sits below it with relative gap at least
     GAP_TOL.  The gap is checked first at the lower bound
@@ -53,8 +52,8 @@ class TlsProblem(SharedJacobian):
     (one values-only SVD of F) is computed only when that bound cannot
     decide, or when read.  A failed certificate or gap raises TlsNotGeneric;
     complex, non-finite or column-free data raises ValueError naming the
-    argument.  The stacked problem issues IllConditionedWarning as any
-    IlsProblem does, attributed to the line that built the TlsProblem.
+    argument.  IllConditionedWarning and ``ill_conditioned`` are as for an
+    IlsProblem.  The residual r = b - A x is computed from A.
     """
 
     def __init__(self, A, b):
@@ -69,15 +68,13 @@ class TlsProblem(SharedJacobian):
         Rbar = np.triu(qr[: n + 1])
         self.sigma_tilde = float(np.linalg.svd(Rbar, compute_uv=False)[-1])
         try:
-            stacked = IlsProblem(np.vstack([Rbar[:n, :n], self.sigma_tilde * np.eye(n)]),
-                                 np.concatenate([Rbar[:n, n], np.zeros(n)]),
-                                 SignatureSplit(n, n))
+            self.factor, self.x, self.ill_conditioned = _certified_solve(
+                Rbar[:n, :n], self.sigma_tilde * np.eye(n), Rbar[:n, n:], np.zeros((n, 1)),
+                1.0 / (2 * n * EPS))
         except NotPositiveDefinite as exc:
             raise TlsNotGeneric(
                 "A^T A - sigma_tilde^2 I lost definiteness numerically"
             ) from exc
-        self.factor = stacked.factor
-        self.ill_conditioned = stacked.ill_conditioned
         # the gap holds at sigma_n if it holds at this lower bound of it; only
         # when it does not is the exact sigma_n (one SVD of F) needed
         lower = float(np.hypot(self.factor.sigma_min_lower, self.sigma_tilde))
@@ -91,7 +88,6 @@ class TlsProblem(SharedJacobian):
         self.b = b
         self.m = m
         self.n = n
-        self.x = stacked.solution.x
         self.r = b - A @ self.x
 
     @cached_property

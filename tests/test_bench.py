@@ -255,7 +255,7 @@ class TestRunExperiment:
         assert payload["records"][0]["r_N"] == res.records[0].values["r_N"]
 
     def test_empty_grid(self):
-        cfg = table1_config(trials=0)
+        cfg = table1_config(kappa_grid=())
         res = run_experiment(cfg)
         assert res.records == []
         buf = io.StringIO()
@@ -267,6 +267,12 @@ class TestRunExperiment:
         res = run_experiment(tiny_config("ex1"))
         text = res.format_table()
         assert "r_p" in text and "r_s" in text and "total time" in text
+
+    @pytest.mark.parametrize("field", ["trials", "k"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_nonpositive_count_named(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            table1_config(**{field: value})
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -356,6 +362,18 @@ class TestCliErrors:
     def test_missing_problem_file(self, tmp_path, capsys, command):
         missing = str(tmp_path / "absent.txt")
         self._one_line_error(capsys, [command, missing], missing)
+
+    @pytest.mark.parametrize("table", ["table1", "table2", "table3"])
+    @pytest.mark.parametrize("flag, value", [("--trials", "-1"), ("--trials", "0"), ("--k", "0")])
+    def test_table_rejects_nonpositive_count(self, capsys, table, flag, value):
+        self._one_line_error(capsys, [table, flag, value], f"{flag[2:]} must be at least 1")
+
+    def test_estimate_rejects_bad_k_before_any_value(self, tmp_path, capsys):
+        pfile = self._write(tmp_path, "ILS 3 2 3 0\n1 0\n0 1\n1 1\n1 2 3\n")
+        assert cli_main(["estimate", pfile, "--k", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["ilscond estimate: error: k must be at least 1"]
 
     def test_table_out_in_missing_directory(self, tmp_path, capsys):
         out = str(tmp_path / "absent" / "t3.csv")

@@ -126,6 +126,19 @@ class TestPce:
             assert est / exact == pytest.approx(1.0, abs=6e-3)
 
 
+class TestSsceConfig:
+    @pytest.mark.parametrize("estimator", [estimate_kappa2_ssce, estimate_kappa_inf_ssce])
+    @pytest.mark.parametrize("k, error, message", [
+        (0, ValueError, "k must be at least 1"),
+        (-1, ValueError, "k must be at least 1"),
+        (2.0, TypeError, "k must be an integer"),
+    ])
+    def test_sample_count_validated_by_name(self, rng, estimator, k, error, message):
+        prob = random_ils(rng, m=10, n=4)
+        with pytest.raises(error, match=message):
+            estimator(prob, CondParams(), SsceConfig(k=k, seed=0))
+
+
 class TestSsce2:
     def test_full_basis_overestimates_two_norm(self, rng):
         prob = random_ils(rng, m=12, n=5)

@@ -142,6 +142,16 @@ class TestQrCertificate:
             IlsProblem(rng.standard_normal((9, 5)), np.ones(9), SignatureSplit(3, 6))
         assert not isinstance(info.value, NumericallySingular)
 
+    def test_ill_conditioned_warning_names_the_caller(self, rng):
+        Q, _ = np.linalg.qr(rng.standard_normal((12, 4)))
+        A = Q * np.array([1.0, 1e-3, 1e-9, 1e-13])
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            prob = IlsProblem(A, rng.standard_normal(12), SignatureSplit(12, 0))
+        flagged = [w for w in log if issubclass(w.category, IllConditionedWarning)]
+        assert prob.ill_conditioned and len(flagged) == 1
+        assert flagged[0].filename == __file__
+
     @pytest.mark.parametrize("kappa, warns", [(1e11, False), (1e13, True)])
     def test_warning_reads_eps_times_cond_f(self, kappa, warns):
         # A^T J A = (3/4) U^T D^2 U here, so cond(F) = cond(A) = kappa

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ilscond.exact
+import ilscond.ils
 from ilscond import (
     CondParams,
     ConditionReport,
@@ -103,7 +104,7 @@ class TestSolveTls:
 
 
 class TestStackedRoute:
-    """x, r and the factor behind every Mt^{-1} product come from the stacked IlsProblem."""
+    """x and r equal the explicit stacked problem's bit for bit, with no IlsProblem built."""
 
     def test_sigma_n_is_smallest_singular_value_of_a(self, rng):
         for _ in range(10):
@@ -141,6 +142,17 @@ class TestStackedRoute:
         assert tls.sigma_n > tls.sigma_tilde
         assert shapes and max(shape[0] for shape in shapes) <= n + 1
         assert tls.sigma_tilde == pytest.approx(expected, rel=1e-12)
+
+    def test_builds_no_ils_problem_and_no_second_qr(self, rng, monkeypatch):
+        # the certificate of Mt is taken from the one QR of [A, b] directly
+        def refused(*args, **kwargs):
+            raise AssertionError("an IlsProblem or a QR inside ils was built")
+
+        monkeypatch.setattr(ilscond.ils, "dgeqrf", refused)
+        monkeypatch.setattr(IlsProblem, "__init__", refused)
+        A, b = random_tls(rng)
+        tls = TlsProblem(A, b)
+        np.testing.assert_allclose(tls.x, svd_tls_oracle(A, b), rtol=1e-10)
 
     def test_keeps_no_stacked_copy(self, rng):
         # what a TlsProblem keeps is about its n x n factor; the (m + n) x n

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ilscond import NumericallySingular, load_problem, save_problem
+from ilscond import (CondParams, ConditionReport, NumericallySingular, StructuredParams,
+                     kappa_2ils, load_problem, make_basis, save_problem)
 from ilscond import bench
 from ilscond.bench import (
     ExperimentConfig,
@@ -19,6 +20,7 @@ from ilscond.bench import (
     table3_config,
 )
 from ilscond.cli import main as cli_main
+from ilscond.structured import basis_from_token
 
 from conftest import signed_gram
 
@@ -317,6 +319,60 @@ class TestCli:
         pfile = str(tmp_path / "u.txt")
         save_problem(pfile, prob)
         assert cli_main(["compare", pfile]) == 1
+
+
+class TestCliStdout:
+    """The full stdout of exact and compare, line by line, from report values."""
+
+    @staticmethod
+    def _gen(tmp_path, capsys, argv):
+        pfile = str(tmp_path / "p.txt")
+        assert cli_main(["gen", *argv, "--out", pfile]) == 0
+        capsys.readouterr()
+        problem, structure = load_problem(pfile)
+        sparams = None
+        if structure:
+            sparams = StructuredParams(basis_from_token(structure, problem.m, problem.n),
+                                       make_basis("full", problem.m))
+        return pfile, problem, structure, ConditionReport(problem, CondParams(), sparams)
+
+    @staticmethod
+    def _stdout(capsys, argv):
+        assert cli_main(argv) == 0
+        return capsys.readouterr().out.splitlines()
+
+    def test_exact_ex1(self, tmp_path, capsys):
+        pfile, problem, _, rep = self._gen(
+            tmp_path, capsys, ["--example", "ex1", "--m", "14", "--n", "6", "--p", "9",
+                               "--l", "2", "--seed", "1"])
+        assert self._stdout(capsys, ["exact", pfile]) == [
+            f"problem: m={problem.m} n={problem.n} p={problem.p} q={problem.q}",
+            f"kappa_2    = {kappa_2ils(problem):.6e}",
+            f"kappa_mixed = {rep.mixed:.6e}",
+            f"kappa_comp  = {rep.componentwise:.6e}",
+        ]
+
+    def test_exact_and_compare_ex3(self, tmp_path, capsys):
+        pfile, problem, structure, rep = self._gen(
+            tmp_path, capsys, ["--example", "ex3", "--n", "6", "--seed", "4"])
+        k2, k2s = kappa_2ils(problem), rep.structured_2
+        km, kms = rep.mixed, rep.structured_mixed
+        kc, kcs = rep.componentwise, rep.structured_componentwise
+        assert self._stdout(capsys, ["exact", pfile]) == [
+            f"problem: m={problem.m} n={problem.n} p={problem.p} q={problem.q}",
+            f"kappa_2    = {k2:.6e}",
+            f"kappa_mixed = {km:.6e}",
+            f"kappa_comp  = {kc:.6e}",
+            f"kappa_2^S    = {k2s:.6e}",
+            f"kappa_mixed^S = {kms:.6e}",
+            f"kappa_comp^S  = {kcs:.6e}",
+        ]
+        assert self._stdout(capsys, ["compare", pfile]) == [
+            f"structure: {structure}",
+            f"kappa_2    = {k2:.6e}  structured = {k2s:.6e}  ratio = {k2 / k2s:.4f}",
+            f"kappa_mixed = {km:.6e}  structured = {kms:.6e}  ratio = {km / kms:.4f}",
+            f"kappa_comp  = {kc:.6e}  structured = {kcs:.6e}  ratio = {kc / kcs:.4f}",
+        ]
 
 
 class TestCliErrors:

@@ -13,7 +13,7 @@ import io
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -159,6 +159,9 @@ class ExperimentConfig:
         for name in ("trials", "k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.example == "ex1" and self.k > self.n:
+            # the small-sample 2-norm estimator draws k directions in R^n
+            raise ValueError("k must not exceed n")
 
     def cells(self):
         if self.example == "ex3":
@@ -296,19 +299,12 @@ class ExperimentResult:
                 }
         return stats
 
-    def to_csv(self, path_or_buf):
+    def to_csv(self, path):
         """One row per trial, fixed column order, round-trip float formatting."""
         cols = _CSV_COLUMNS[self.config.example]
-        close = False
-        if isinstance(path_or_buf, (str, bytes)):
-            fh = open(path_or_buf, "w", newline="")
-            close = True
-        else:
-            fh = path_or_buf
-        try:
+        with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            header = ["example", "m", "n", "p", "kappa", "rho", "trial"] + cols
-            writer.writerow(header)
+            writer.writerow(["example", "m", "n", "p", "kappa", "rho", "trial"] + cols)
             for rec in self.records:
                 row = [
                     rec.example, self.config.m, self.config.n, self.config.p,
@@ -317,22 +313,11 @@ class ExperimentResult:
                 ]
                 row += [repr(float(rec.values[c])) for c in cols]
                 writer.writerow(row)
-        finally:
-            if close:
-                fh.close()
 
     def to_json(self, path):
         cols = _CSV_COLUMNS[self.config.example]
         payload = {
-            "config": {
-                "example": self.config.example, "m": self.config.m,
-                "n": self.config.n, "p": self.config.p,
-                "kappa_grid": list(self.config.kappa_grid),
-                "rho_grid": list(self.config.rho_grid),
-                "trials": self.config.trials, "seed": self.config.seed,
-                "delta": self.config.delta, "epsilon": self.config.epsilon,
-                "k": self.config.k,
-            },
+            "config": asdict(self.config),
             "records": [
                 {
                     "kappa": rec.kappa_label, "rho": rec.rho, "trial": rec.trial,

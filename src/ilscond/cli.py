@@ -85,16 +85,15 @@ def _report(problem, structure):
     return ConditionReport(problem, CondParams(), sparams)
 
 
-def _print_exact(problem, structure):
-    report = _report(problem, structure)
-    print(f"problem: m={problem.m} n={problem.n} p={problem.p} q={problem.q}")
-    print(f"kappa_2    = {kappa_2ils(problem, report.params):.6e}")
-    print(f"kappa_mixed = {report.mixed:.6e}")
-    print(f"kappa_comp  = {report.componentwise:.6e}")
-    if structure:
-        print(f"kappa_2^S    = {report.structured_2:.6e}")
-        print(f"kappa_mixed^S = {report.structured_mixed:.6e}")
-        print(f"kappa_comp^S  = {report.structured_componentwise:.6e}")
+# printed name, padding before "=", and the unstructured and structured
+# value of each row of exact and compare
+_ROWS = (
+    ("kappa_2", "    ", lambda rep: kappa_2ils(rep.problem, rep.params),
+     lambda rep: rep.structured_2),
+    ("kappa_mixed", " ", lambda rep: rep.mixed, lambda rep: rep.structured_mixed),
+    ("kappa_comp", "  ", lambda rep: rep.componentwise,
+     lambda rep: rep.structured_componentwise),
+)
 
 
 def _cmd_gen(args):
@@ -118,26 +117,32 @@ def _cmd_gen(args):
 
 def _cmd_exact(args):
     problem, structure = probfile.load_problem(args.problem)
-    _print_exact(problem, structure)
+    report = _report(problem, structure)
+    print(f"problem: m={problem.m} n={problem.n} p={problem.p} q={problem.q}")
+    for name, pad, value, _ in _ROWS:
+        print(f"{name}{pad}= {value(report):.6e}")
+    if structure:
+        for name, pad, _, svalue in _ROWS:
+            print(f"{name}^S{pad}= {svalue(report):.6e}")
     return 0
 
 
 def _cmd_estimate(args):
     seeds = np.random.SeedSequence(args.seed).spawn(3)
-    # both configs first, so that a bad --k fails before any value is printed
     ssce2, ssce_inf = (SsceConfig(k=args.k, seed=seed) for seed in seeds[1:])
     problem, _ = probfile.load_problem(args.problem)
     params = CondParams()
+    # every estimate before the first line, so that a bad --k prints nothing
     est, interval = estimate_kappa2_pce(
         problem, params, delta=args.delta, epsilon=args.epsilon,
         seed=seeds[0], return_interval=True,
     )
+    ssce = estimate_kappa2_ssce(problem, params, ssce2)
+    sm, sc = estimate_kappa_inf_ssce(problem, params, ssce_inf)
     flag = " (ratio target not met)" if interval.ratio_not_met else ""
     print(f"kappa_2 probabilistic = {est:.6e} "
           f"[{interval.alpha1:.6e}, {interval.alpha2:.6e}]{flag}")
-    ssce = estimate_kappa2_ssce(problem, params, ssce2)
     print(f"kappa_2 small-sample  = {ssce:.6e}")
-    sm, sc = estimate_kappa_inf_ssce(problem, params, ssce_inf)
     print(f"kappa_mixed small-sample = {sm:.6e}")
     print(f"kappa_comp  small-sample = {sc:.6e}")
     return 0
@@ -173,14 +178,10 @@ def _cmd_compare(args):
               file=sys.stderr)
         return 1
     report = _report(problem, structure)
-    k2 = kappa_2ils(problem, report.params)
-    k2s = report.structured_2
-    km, kms = report.mixed, report.structured_mixed
-    kc, kcs = report.componentwise, report.structured_componentwise
+    rows = [(name, pad, value(report), svalue(report)) for name, pad, value, svalue in _ROWS]
     print(f"structure: {structure}")
-    print(f"kappa_2    = {k2:.6e}  structured = {k2s:.6e}  ratio = {k2 / k2s:.4f}")
-    print(f"kappa_mixed = {km:.6e}  structured = {kms:.6e}  ratio = {km / kms:.4f}")
-    print(f"kappa_comp  = {kc:.6e}  structured = {kcs:.6e}  ratio = {kc / kcs:.4f}")
+    for name, pad, v, sv in rows:
+        print(f"{name}{pad}= {v:.6e}  structured = {sv:.6e}  ratio = {v / sv:.4f}")
     return 0
 
 

@@ -19,32 +19,16 @@ from .exact import CondParams, componentwise_ratio, mixed_ratio, normwise_map, p
 from .kron import unvec
 
 
-def wallis(k, approx=False):
-    """Wallis factor: the expected |<z, e>| normalization for unit-sphere z.
+def wallis(k):
+    """Wallis factor sqrt(2 / (pi (k - 1/2))) for k-dimensional unit-sphere directions.
 
-    Exact product values for k <= 64; the sqrt(2 / (pi (k - 1/2)))
-    approximation beyond, or everywhere when approx=True.
+    Kenney & Laub's approximation of E|<z, e>| for z uniform on the unit
+    sphere, Gamma(k/2) / (sqrt(pi) Gamma((k+1)/2)); it overshoots that value
+    by 12.8 % at k = 1, 0.93 % at k = 3 and less than 1e-4 from k = 64.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if approx or k > 64:
-        return math.sqrt(2.0 / (math.pi * (k - 0.5)))
-    if k == 1:
-        return 1.0
-    if k == 2:
-        return 2.0 / math.pi
-    num, den = 1.0, 1.0
-    if k % 2 == 1:
-        for j in range(1, k - 1, 2):
-            num *= j
-        for j in range(2, k, 2):
-            den *= j
-        return num / den
-    for j in range(2, k - 1, 2):
-        num *= j
-    for j in range(3, k, 2):
-        den *= j
-    return (2.0 / math.pi) * num / den
+    return math.sqrt(2.0 / (math.pi * (k - 0.5)))
 
 
 def _orthonormalize(Z):
@@ -288,7 +272,7 @@ def estimate_kappa2_ssce(problem, params=None, config=None):
 
     Draws k orthonormal directions Q, takes the per-direction condition
     values as the squared row norms of Q^T S (S the factored form,
-    exact.normwise_map), and combines them with approximated Wallis
+    exact.normwise_map), and combines them with Wallis
     factors: (w_k / w_n) ||Q^T S||_F / xi.
     """
     params = params or CondParams()
@@ -305,7 +289,7 @@ def estimate_kappa2_ssce(problem, params=None, config=None):
     Z = rng.standard_normal((n, config.k))
     Q = _orthonormalize(Z)
     S = normwise_map(problem, params)
-    factor = wallis(config.k, approx=True) / wallis(n, approx=True)
+    factor = wallis(config.k) / wallis(n)
     return float(factor * np.linalg.norm(Q.T @ S) / xi)
 
 
@@ -330,7 +314,7 @@ def estimate_kappa_inf_ssce(problem, params=None, config=None):
         z = Q[:, i]
         u = jac.apply(unvec(z[: m * n], (m, n)), z[m * n :])
         acc += u**2
-    factor = wallis(config.k, approx=True) / wallis(t, approx=True)
+    factor = wallis(config.k) / wallis(t)
     kappa_vec = factor * np.sqrt(acc)
     ltx = np.atleast_1d(params.l_matrix(n).T @ jac.x)
     return mixed_ratio(kappa_vec, ltx), componentwise_ratio(kappa_vec, ltx)

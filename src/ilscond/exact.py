@@ -400,11 +400,6 @@ class ConditionReport:
     def ltx(self):
         return np.atleast_1d(self.params.l_matrix(self.problem.n).T @ self.jac.x)
 
-    @property
-    def numerator(self):
-        """|Mg| |[vec(A); b]|, kept by the Jacobian that every report on it shares."""
-        return self.jac.data_numerator
-
     @cached_property
     def extracted(self):
         """Structure parameters (s1, s2) of A and b; StructureMismatch if off-class."""
@@ -430,12 +425,12 @@ class ConditionReport:
     @cached_property
     def mixed(self):
         """Mixed condition number: componentwise data perturbations, sup-norm output."""
-        return mixed_ratio(self.numerator, self.ltx)
+        return mixed_ratio(self.jac.data_numerator, self.ltx)
 
     @cached_property
     def componentwise(self):
         """Componentwise condition number; zero outputs use the 0^ddagger rule."""
-        return componentwise_ratio(self.numerator, self.ltx)
+        return componentwise_ratio(self.jac.data_numerator, self.ltx)
 
     @cached_property
     def structured_2(self):

@@ -1,5 +1,5 @@
-import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -218,16 +218,13 @@ class TestRunExperiment:
             for v in rec.values.values():
                 assert np.isfinite(v) and v > 0
 
-    def test_deterministic_csv_bytes(self):
-        cfg = tiny_config("ex1")
-        bufs = []
-        for _ in range(2):
-            res = run_experiment(tiny_config("ex1"))
-            buf = io.StringIO()
-            res.to_csv(buf)
-            bufs.append(buf.getvalue())
-        assert bufs[0] == bufs[1]
-        assert "r_p" in bufs[0].splitlines()[0]
+    def test_deterministic_csv_bytes(self, tmp_path):
+        paths = [tmp_path / f"t{i}.csv" for i in range(2)]
+        for path in paths:
+            run_experiment(tiny_config("ex1")).to_csv(path)
+        texts = [path.read_bytes() for path in paths]
+        assert texts[0] == texts[1]
+        assert b"r_p" in texts[0].splitlines()[0]
 
     def test_different_seed_changes_output(self):
         a = run_experiment(tiny_config("ex1"))
@@ -256,13 +253,24 @@ class TestRunExperiment:
         assert len(payload["records"]) == len(res.records)
         assert payload["records"][0]["r_N"] == res.records[0].values["r_N"]
 
-    def test_empty_grid(self):
+    @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3"])
+    def test_json_config_round_trip(self, tmp_path, example):
+        cfg = tiny_config(example)
+        jpath = tmp_path / "out.json"
+        run_experiment(cfg).to_json(jpath)
+        config = json.loads(jpath.read_text())["config"]
+        assert list(config) == [f.name for f in fields(ExperimentConfig)]
+        config.update(kappa_grid=tuple(config["kappa_grid"]),
+                      rho_grid=tuple(config["rho_grid"]))
+        assert ExperimentConfig(**config) == cfg
+
+    def test_empty_grid(self, tmp_path):
         cfg = table1_config(kappa_grid=())
         res = run_experiment(cfg)
         assert res.records == []
-        buf = io.StringIO()
-        res.to_csv(buf)
-        assert len(buf.getvalue().splitlines()) == 1  # header only
+        path = tmp_path / "empty.csv"
+        res.to_csv(path)
+        assert len(path.read_text().splitlines()) == 1  # header only
         assert "nan" in res.format_table().lower() or res.format_table()
 
     def test_table_renders(self):
@@ -275,6 +283,12 @@ class TestRunExperiment:
     def test_nonpositive_count_named(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
             table1_config(**{field: value})
+
+    def test_ex1_k_above_n_named(self):
+        # checked with the config, before any trial runs
+        table1_config(k=36)
+        with pytest.raises(ValueError, match="k must not exceed n"):
+            table1_config(k=37)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
@@ -430,6 +444,17 @@ class TestCliErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["ilscond estimate: error: k must be at least 1"]
+
+    def test_estimate_rejects_k_above_n_before_any_value(self, tmp_path, capsys):
+        pfile = str(tmp_path / "p1.txt")
+        assert cli_main(["gen", "--example", "ex1", "--m", "14", "--n", "6", "--p", "9",
+                         "--out", pfile]) == 0
+        capsys.readouterr()
+        assert cli_main(["estimate", pfile, "--k", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "ilscond estimate: error: sample count k must not exceed n"]
 
     def test_table_out_in_missing_directory(self, tmp_path, capsys):
         out = str(tmp_path / "absent" / "t3.csv")

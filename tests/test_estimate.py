@@ -23,22 +23,37 @@ from ilscond.exact import normwise_map
 from conftest import random_ils
 
 
+def _sphere_mean(k):
+    # E|<z, e>| for z uniform on the unit sphere of R^k, the value wallis approximates
+    return math.exp(math.lgamma(k / 2) - math.lgamma((k + 1) / 2)) / math.sqrt(math.pi)
+
+
 class TestWallis:
+    # wallis is the approximation sqrt(2 / (pi (k - 1/2))); its relative
+    # error is checked against the exact sphere mean, a ratio of Gamma values
+
+    @staticmethod
+    def _rel_err(k):
+        return wallis(k) / _sphere_mean(k) - 1.0
+
     def test_first_two_values(self):
-        assert wallis(1) == 1.0
-        assert wallis(2) == pytest.approx(2.0 / math.pi, rel=1e-15)
+        assert wallis(1) == math.sqrt(2.0 / (math.pi * 0.5))
+        assert wallis(2) == math.sqrt(2.0 / (math.pi * 1.5))
+        assert _sphere_mean(1) == pytest.approx(1.0, rel=1e-15)
+        assert _sphere_mean(2) == pytest.approx(2.0 / math.pi, rel=1e-15)
+        assert self._rel_err(1) == pytest.approx(0.128, rel=0.01)
+        assert self._rel_err(2) == pytest.approx(0.023, rel=0.02)
 
     def test_k3_exact_and_approximation(self):
-        assert wallis(3) == pytest.approx(0.5, rel=1e-15)
-        approx = wallis(3, approx=True)
-        assert approx == pytest.approx(math.sqrt(2.0 / (math.pi * 2.5)), rel=1e-15)
-        assert abs(approx - 0.5) / 0.5 < 1e-2
+        assert wallis(3) == math.sqrt(2.0 / (math.pi * 2.5))
+        assert _sphere_mean(3) == pytest.approx(0.5, rel=1e-15)
+        assert self._rel_err(3) == pytest.approx(0.0093, rel=0.01)
 
-    def test_k4_even_product(self):
-        assert wallis(4) == pytest.approx((2.0 / math.pi) * (2.0 / 3.0), rel=1e-15)
-
-    def test_large_k_switches_to_approximation(self):
-        assert wallis(65) == wallis(65, approx=True)
+    def test_error_shrinks_below_1e4_by_k64(self):
+        errs = [self._rel_err(k) for k in range(1, 65)]
+        assert all(a > b > 0 for a, b in zip(errs, errs[1:]))
+        assert errs[-1] < 1e-4
+        assert wallis(1000) == math.sqrt(2.0 / (math.pi * 999.5))
 
     def test_decreasing(self):
         vals = [wallis(k) for k in range(1, 30)]

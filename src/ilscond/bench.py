@@ -159,9 +159,12 @@ class ExperimentConfig:
         for name in ("trials", "k"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        # the small-sample estimators draw k directions in R^n (ex1) and in
+        # R^(m(n+1)) (ex2)
         if self.example == "ex1" and self.k > self.n:
-            # the small-sample 2-norm estimator draws k directions in R^n
             raise ValueError("k must not exceed n")
+        if self.example == "ex2" and self.k > self.m * (self.n + 1):
+            raise ValueError("k must not exceed m(n+1)")
 
     def cells(self):
         if self.example == "ex3":
@@ -394,7 +397,6 @@ def run_experiment(config):
     children = iter(root.spawn(len(cells) * config.trials))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
-        warnings.simplefilter("ignore", RuntimeWarning)
         for kappa_label, rho in cells:
             for trial in range(config.trials):
                 rng = np.random.default_rng(next(children))

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-import scipy.sparse.linalg
 from scipy.linalg.lapack import dgeqrf, dgesdd, dorgqr
 
-from .exact import CondParams, componentwise_ratio, mixed_ratio, normwise_map, params_jacobian
+from .exact import CondParams, ConditionReport, componentwise_ratio, mixed_ratio, normwise_map
 from .kron import unvec
 
 
@@ -31,13 +30,19 @@ def wallis(k):
     return math.sqrt(2.0 / (math.pi * (k - 0.5)))
 
 
-def _orthonormalize(Z):
-    # the Q of np.linalg.qr(Z), bit for bit, from the same two LAPACK calls
-    # without np.linalg.qr's copies; column-major, so each direction Q[:, i]
-    # is contiguous
-    qr, tau, _, _ = dgeqrf(Z)
+def _directions(rng, dim, k, name):
+    """k orthonormal Gaussian directions in R^dim and the Wallis ratio w_k / w_dim.
+
+    k is checked against dim (called ``name`` in the message) before the
+    draw.  Q is the Q of np.linalg.qr, bit for bit, from the same two LAPACK
+    calls without its copies; column-major, so each direction Q[:, i] is
+    contiguous.
+    """
+    if k > dim:
+        raise ValueError(f"sample count k must not exceed {name}")
+    qr, tau, _, _ = dgeqrf(rng.standard_normal((dim, k)))
     Q, _, _ = dorgqr(qr, tau)
-    return Q
+    return Q, wallis(k) / wallis(dim)
 
 
 @dataclass
@@ -139,7 +144,7 @@ def _gk_interval(op, delta, eps_each, rng, cap, det_bound):
     steps = 0
     for j in range(1, cap + 1):
         steps = j
-        u = np.asarray(op.matvec(V[-1]), dtype=float).ravel()
+        u = op @ V[-1]
         if U:
             u -= betas[-1] * U[-1]
         u = _reorth(u, U)
@@ -162,7 +167,7 @@ def _gk_interval(op, delta, eps_each, rng, cap, det_bound):
         if j == pin:
             upper_sure = min(upper_sure, theta)  # right space exhausted: exact
             break
-        w = np.asarray(op.rmatvec(U[-1]), dtype=float).ravel()
+        w = op.T @ U[-1]
         w -= alpha * V[-1]
         w = _reorth(w, V)
         beta = float(np.linalg.norm(w))
@@ -182,12 +187,12 @@ def _gk_interval(op, delta, eps_each, rng, cap, det_bound):
 
 
 def spectral_interval(op, delta=1e-2, epsilon=1e-3, seed=None, det_bound=None):
-    """Bracket the spectral norm of a linear operator.
+    """Bracket the spectral norm of a matrix.
 
     Parameters
     ----------
-    op : anything scipy.sparse.linalg.aslinearoperator accepts
-        Must support matvec and rmatvec.
+    op : real 2-D array
+        Golub-Kahan multiplies with op and op.T.
     delta : float in (0, 1)
         Target interval width: iterate until alpha2 <= (1 + delta) alpha1.
     epsilon : float in (0, 1)
@@ -209,7 +214,9 @@ def spectral_interval(op, delta=1e-2, epsilon=1e-3, seed=None, det_bound=None):
     """
     if not (0.0 < delta < 1.0) or not (0.0 < epsilon < 1.0):
         raise ValueError("delta and epsilon must lie in (0, 1)")
-    op = scipy.sparse.linalg.aslinearoperator(op)
+    op = np.asarray(op, dtype=float)
+    if op.ndim != 2:
+        raise ValueError(f"op must be a 2-D array, got {op.ndim} dimensions")
     nmin = min(op.shape)
     cap = min(nmin, 300)
     restarts = max(1, math.ceil(math.log10(1.0 / epsilon)))
@@ -268,28 +275,20 @@ def estimate_kappa2_pce(problem, params=None, delta=1e-2, epsilon=1e-3, seed=Non
 
 
 def estimate_kappa2_ssce(problem, params=None, config=None):
-    """Small-sample estimate of the 2-norm condition number (identity L only).
+    """Small-sample estimate of the 2-norm condition number, for any L.
 
-    Draws k orthonormal directions Q, takes the per-direction condition
-    values as the squared row norms of Q^T S (S the factored form,
-    exact.normwise_map), and combines them with Wallis
-    factors: (w_k / w_n) ||Q^T S||_F / xi.
+    S is the factored form (exact.normwise_map), with one row per column of
+    L (n rows for the default L).  Draws k orthonormal directions Q in that
+    many dimensions, takes the per-direction condition values as the
+    squared row norms of Q^T S, and combines them with Wallis factors:
+    (w_k / w_l) ||Q^T S||_F / xi, which estimates ||S||_F / xi.
     """
     params = params or CondParams()
     config = config or SsceConfig()
     _, _, xi = params.scalars()
-    if params.L is not None and not np.array_equal(
-        np.asarray(params.L), np.eye(problem.n)
-    ):
-        raise ValueError("the small-sample 2-norm estimator is defined for L = I only")
-    n = problem.n
-    if config.k > n:
-        raise ValueError("sample count k must not exceed n")
-    rng = config.make_rng()
-    Z = rng.standard_normal((n, config.k))
-    Q = _orthonormalize(Z)
     S = normwise_map(problem, params)
-    factor = wallis(config.k) / wallis(n)
+    Q, factor = _directions(config.make_rng(), S.shape[0], config.k,
+                            "n" if params.L is None else "the columns of L")
     return float(factor * np.linalg.norm(Q.T @ S) / xi)
 
 
@@ -301,20 +300,14 @@ def estimate_kappa_inf_ssce(problem, params=None, config=None):
     entrywise root-sum-of-squares by the Wallis ratio.  Returns the pair
     (mixed, componentwise).
     """
-    params = params or CondParams()
     config = config or SsceConfig()
     m, n = problem.m, problem.n
-    t = m * (n + 1)
-    jac = params_jacobian(problem, params)
-    rng = config.make_rng()
-    Z = rng.standard_normal((t, config.k))
-    Q = _orthonormalize(Z)
-    acc = np.zeros(jac.k)
+    Q, factor = _directions(config.make_rng(), m * (n + 1), config.k, "m(n+1)")
+    report = ConditionReport(problem, params)
+    acc = np.zeros(report.jac.k)
     for i in range(config.k):
         z = Q[:, i]
-        u = jac.apply(unvec(z[: m * n], (m, n)), z[m * n :])
+        u = report.jac.apply(unvec(z[: m * n], (m, n)), z[m * n :])
         acc += u**2
-    factor = wallis(config.k) / wallis(t)
     kappa_vec = factor * np.sqrt(acc)
-    ltx = np.atleast_1d(params.l_matrix(n).T @ jac.x)
-    return mixed_ratio(kappa_vec, ltx), componentwise_ratio(kappa_vec, ltx)
+    return mixed_ratio(kappa_vec, report.ltx), componentwise_ratio(kappa_vec, report.ltx)

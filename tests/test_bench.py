@@ -456,6 +456,16 @@ class TestCliErrors:
         assert captured.err.splitlines() == [
             "ilscond estimate: error: sample count k must not exceed n"]
 
+    def test_table2_rejects_k_above_data_dimension(self, capsys):
+        # the mixed estimator draws in m(n+1) = 18 dimensions; checked with
+        # the config, before any trial runs
+        argv = ["table2", "--m", "6", "--n", "2", "--p", "4", "--k", "40", "--trials", "1"]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "ilscond table2: error: k must not exceed m(n+1)"]
+
     def test_table_out_in_missing_directory(self, tmp_path, capsys):
         out = str(tmp_path / "absent" / "t3.csv")
         argv = ["table3", "--n", "4", "--trials", "1", "--out", out]

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +22,12 @@ from ilscond import (
     spectral_interval,
     wallis,
 )
+from ilscond.estimate import _directions
 from ilscond.exact import normwise_map
 
 from conftest import random_ils
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _sphere_mean(k):
@@ -103,6 +110,18 @@ class TestSpectralInterval:
         with pytest.raises(ValueError):
             spectral_interval(np.eye(2), epsilon=1.5)
 
+    def test_one_dimensional_op_rejected(self):
+        with pytest.raises(ValueError, match="op must be a 2-D array"):
+            spectral_interval(np.ones(3), seed=0)
+
+    def test_import_loads_no_scipy_sparse(self):
+        # the estimators multiply plain arrays, so nothing pulls in scipy.sparse
+        code = ("import sys, ilscond, ilscond.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "[]"
+
 
 class TestPce:
     def test_relative_error_within_delta(self, rng):
@@ -173,12 +192,29 @@ class TestSsce2:
         assert est == pytest.approx(frob, rel=1e-13)
         assert est >= kappa_2tls(tls, params) * (1 - 1e-12)
 
-    def test_requires_identity_l(self, rng):
-        prob = random_ils(rng, m=10, n=4)
-        with pytest.raises(ValueError):
-            estimate_kappa2_ssce(
-                prob, CondParams(L=np.eye(prob.n)[:, :2]), SsceConfig(seed=0)
-            )
+    @staticmethod
+    def _ils_and_tls(rng):
+        A = rng.standard_normal((12, 5))
+        tls = TlsProblem(A, A @ rng.standard_normal(5) + 0.3 * rng.standard_normal(12))
+        return [random_ils(rng, m=10, n=5), tls]
+
+    def test_explicit_identity_l_same_bits(self, rng):
+        for prob in self._ils_and_tls(rng):
+            a = estimate_kappa2_ssce(prob, CondParams(), SsceConfig(k=3, seed=4))
+            b = estimate_kappa2_ssce(prob, CondParams(L=np.eye(prob.n)),
+                                     SsceConfig(k=3, seed=4))
+            assert a == b
+
+    def test_partial_l_full_basis_is_frobenius_norm(self, rng):
+        # an n x l L samples in l dimensions; with k = l the Wallis ratio is 1
+        for prob in self._ils_and_tls(rng):
+            L = rng.standard_normal((prob.n, 2))
+            params = CondParams(L=L, psi=1.3, beta=0.7, xi=2.0)
+            est = estimate_kappa2_ssce(prob, params, SsceConfig(k=2, seed=1))
+            frob = np.linalg.norm(normwise_map(prob, params)) / 2.0
+            assert est == pytest.approx(frob, rel=1e-13)
+            with pytest.raises(ValueError, match="k must not exceed the columns of L"):
+                estimate_kappa2_ssce(prob, params, SsceConfig(k=3, seed=1))
 
     def test_k_cannot_exceed_n(self, rng):
         prob = random_ils(rng, m=10, n=4)
@@ -215,11 +251,19 @@ class TestSsce2:
 
 
 class TestSsceInf:
-    def test_directions_orthonormal_after_qr(self, rng):
-        Z = rng.standard_normal((40, 3))
-        Q, _ = np.linalg.qr(Z)
+    def test_directions_orthonormal_after_qr(self):
+        Q, factor = _directions(np.random.default_rng(5), 40, 3, "t")
         gram = Q.T @ Q
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
+        # the Q of np.linalg.qr of the same draw, bit for bit
+        assert np.array_equal(Q, np.linalg.qr(np.random.default_rng(5).standard_normal((40, 3)))[0])
+        assert factor == wallis(3) / wallis(40)
+
+    def test_k_cannot_exceed_data_dimension(self, rng):
+        # t = m(n + 1) = 9 on a 3 x 2 problem; checked before any draw
+        prob = random_ils(rng, m=3, n=2)
+        with pytest.raises(ValueError, match=r"k must not exceed m\(n\+1\)"):
+            estimate_kappa_inf_ssce(prob, CondParams(), SsceConfig(k=12, seed=0))
 
     def test_full_basis_row_norms(self, rng):
         # with every direction of the perturbation space, the accumulated

@@ -11,6 +11,10 @@ deterministic CSV/JSON plus a printed summary table.
 import csv
 import io
 import json
+import os
+import pickle
+import signal
+import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -282,6 +286,7 @@ class ExperimentResult:
     records: list = field(default_factory=list)
     failures: dict = field(default_factory=dict)
     elapsed: float = 0.0
+    processes: int = 1
 
     def cell_stats(self, kappa_label, rho):
         """Mean, variance and max of every ratio in one grid cell."""
@@ -367,7 +372,8 @@ class ExperimentResult:
         if total_failed:
             out.write("excluded trials (not definite or numerically singular): "
                       f"{total_failed} {dict(self.failures)}\n")
-        out.write(f"total time: {self.elapsed:.1f} s\n")
+        plural = "es" if self.processes > 1 else ""
+        out.write(f"total time: {self.elapsed:.1f} s ({self.processes} process{plural})\n")
         return out.getvalue()
 
 
@@ -381,31 +387,87 @@ def _write_aligned(out, header, rows):
         out.write("  ".join(str(c).ljust(w) for c, w in zip(r, widths)) + "\n")
 
 
-def run_experiment(config):
+def _job_count(jobs, ntasks):
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    # workers are forked, on Linux only
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    if jobs is None:
+        env = (os.environ.get(v, "") for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+        jobs = cpus // next((int(t) for t in env if t.isdecimal() and int(t) > 0), cpus)
+    return max(1, min(jobs, cpus, ntasks))
+
+
+def _run_trials(config, tasks):
+    """Values of each ((kappa_label, rho, trial), seed) task; None if excluded."""
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        for (kappa_label, rho, _), seed in tasks:
+            try:
+                out.append(_run_trial(config, kappa_label, rho, np.random.default_rng(seed)))
+            except NotPositiveDefinite:
+                out.append(None)
+    return out
+
+
+def run_experiment(config, jobs=None):
     """Sweep the grid; returns an ExperimentResult with per-trial records.
 
     Deterministic for a fixed config and seed: every trial draws from its own
-    spawned generator, so trials are independent and may be evaluated in any
-    order.  Trials whose instance raises NotPositiveDefinite (in practice its
-    subclass NumericallySingular: every generator is definite by
-    construction) are excluded and counted in ``failures``.
+    spawned generator, so trials may run in any order and process.  They run
+    in ``jobs`` processes, this one and jobs - 1 forked children, dealt
+    round-robin and put back in trial order, so no output depends on ``jobs``.
+    None means usable CPUs // BLAS threads (the first positive
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, else every CPU).  The count is
+    capped at the usable CPUs and the trials, and is 1 off Linux.  Trials
+    whose instance raises NotPositiveDefinite (in practice NumericallySingular:
+    every generator is definite by construction) are counted in ``failures``.
     """
     t0 = time.perf_counter()
-    result = ExperimentResult(config=config)
-    cells = config.cells()
-    root = np.random.SeedSequence(config.seed)
-    children = iter(root.spawn(len(cells) * config.trials))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        for kappa_label, rho in cells:
-            for trial in range(config.trials):
-                rng = np.random.default_rng(next(children))
+    grid = [(kappa_label, rho, trial) for kappa_label, rho in config.cells()
+            for trial in range(config.trials)]
+    tasks = list(zip(grid, np.random.SeedSequence(config.seed).spawn(len(grid))))
+    jobs = _job_count(jobs, len(tasks))
+    values = [None] * len(tasks)
+    readers = {}
+    try:
+        for j in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the child pickles its values or its exception and leaves
+                # through os._exit: no atexit handler, no inherited buffer flushed
                 try:
-                    values = _run_trial(config, kappa_label, rho, rng)
-                except NotPositiveDefinite:
-                    key = (kappa_label, rho)
-                    result.failures[key] = result.failures.get(key, 0) + 1
-                    continue
-                result.records.append(TrialRecord(config.example, kappa_label, rho, trial, values))
+                    with open(write_fd, "wb") as fh:
+                        try:
+                            pickle.dump(_run_trials(config, tasks[j::jobs]), fh)
+                        except BaseException as exc:
+                            pickle.dump(exc, fh)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            readers[pid] = open(read_fd, "rb")
+        values[0::jobs] = _run_trials(config, tasks[0::jobs])
+        for j, pid in enumerate(list(readers), 1):
+            with readers[pid] as fh:
+                payload = pickle.load(fh)
+            os.waitpid(pid, 0)
+            del readers[pid]
+            if isinstance(payload, BaseException):
+                raise payload
+            values[j::jobs] = payload
+    finally:
+        for pid, fh in readers.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    result = ExperimentResult(config=config, processes=jobs)
+    for (kappa_label, rho, trial), vals in zip(grid, values):
+        if vals is None:
+            key = (kappa_label, rho)
+            result.failures[key] = result.failures.get(key, 0) + 1
+        else:
+            result.records.append(TrialRecord(config.example, kappa_label, rho, trial, vals))
     result.elapsed = time.perf_counter() - t0
     return result

@@ -65,6 +65,8 @@ def build_parser():
         tp.add_argument("--p", type=int, default=None)
         tp.add_argument("--trials", type=int, default=None)
         tp.add_argument("--format", choices=("csv", "json"), default="csv")
+        tp.add_argument("--jobs", type=int, default=None,
+                        help="worker processes (default: usable CPUs // BLAS threads)")
         _add_estimator_flags(tp)
         _add_common(tp)
 
@@ -160,7 +162,9 @@ def _cmd_table(name, args):
     if args.full:
         print("running at published sizes; this takes minutes", file=sys.stderr)
     config = factory(full=args.full, **overrides)
-    result = bench.run_experiment(config)
+    # no --jobs: call with the config alone, the signature callers may wrap
+    jobs = {} if args.jobs is None else {"jobs": args.jobs}
+    result = bench.run_experiment(config, **jobs)
     print(result.format_table())
     if args.out:
         if args.format == "csv":

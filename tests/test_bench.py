@@ -1,4 +1,7 @@
 import json
+import os
+import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -297,6 +300,109 @@ class TestRunExperiment:
             ExperimentConfig(example="ex1", n=6, m=8, p=3)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Four usable CPUs, so that an explicit jobs up to 4 is not capped."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+
+def in_child_only(monkeypatch, act):
+    """Patch _run_trial to call act() in forked workers and run normally here."""
+    parent, original = os.getpid(), bench._run_trial
+
+    def patched(*args):
+        if os.getpid() != parent:
+            act()
+        return original(*args)
+
+    monkeypatch.setattr(bench, "_run_trial", patched)
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="trials fork only on Linux")
+class TestParallelTrials:
+    @pytest.mark.parametrize("config", [
+        # the exclusion config of test_table_names_the_exclusion, with a second
+        # rho so that failures has two keys whose order is checked
+        lambda: table1_config(m=20, n=8, p=12, kappa_grid=(1, 18),
+                              rho_grid=(1e-2, 1.0), trials=2),
+        lambda: tiny_config("ex2"),
+        lambda: tiny_config("ex3"),
+    ], ids=["ex1-excluded", "ex2", "ex3"])
+    def test_outputs_do_not_depend_on_jobs(self, tmp_path, four_cpus, config):
+        results = {}
+        for jobs in (1, 2, 3):
+            results[jobs] = res = run_experiment(config(), jobs=jobs)
+            assert_no_child_left()
+            assert res.processes == jobs
+            res.to_csv(tmp_path / f"{jobs}.csv")
+            res.to_json(tmp_path / f"{jobs}.json")
+        base = results[1]
+        if base.config.example == "ex1":
+            assert list(base.failures.items()) == [((18, 1e-2), 2), ((18, 1.0), 2)]
+        for jobs in (2, 3):
+            res = results[jobs]
+            assert res.records == base.records
+            assert list(res.failures.items()) == list(base.failures.items())
+            for suffix in ("csv", "json"):
+                assert (tmp_path / f"{jobs}.{suffix}").read_bytes() == \
+                    (tmp_path / f"1.{suffix}").read_bytes()
+            table, base_table = res.format_table(), base.format_table()
+            assert table.splitlines()[:-1] == base_table.splitlines()[:-1]
+            assert table.splitlines()[-1].endswith(f" s ({jobs} processes)")
+        assert base.format_table().splitlines()[-1].endswith(" s (1 process)")
+
+    def test_worker_exception_reaches_parent(self, monkeypatch, four_cpus):
+        def fail():
+            raise RuntimeError("trial failed in a worker")
+
+        in_child_only(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="trial failed in a worker"):
+            run_experiment(tiny_config("ex1"), jobs=2)
+        assert_no_child_left()
+
+    def test_worker_warning_as_error_reaches_parent(self, monkeypatch, four_cpus):
+        in_child_only(monkeypatch, lambda: warnings.warn("overflow in a worker", RuntimeWarning))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow in a worker"):
+                run_experiment(tiny_config("ex2"), jobs=2)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("env, cpus, ntasks, expected", [
+        ({}, 2, 100, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 100, 2),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 3),
+        ({"OMP_NUM_THREADS": "2"}, 8, 100, 4),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, 100, 2),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 2, 100, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 0, 1),
+    ])
+    def test_default_job_count(self, monkeypatch, env, cpus, ntasks, expected):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert bench._job_count(None, ntasks) == expected
+
+    def test_explicit_job_count_capped(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert bench._job_count(1, 100) == 1
+        assert bench._job_count(64, 100) == 2
+        assert bench._job_count(64, 1) == 1
+
+    def test_one_process_off_linux(self, monkeypatch, four_cpus):
+        monkeypatch.setattr(bench.sys, "platform", "darwin")
+        assert bench._job_count(None, 100) == 1
+        assert bench._job_count(4, 100) == 1
+
+
 class TestCli:
     def test_gen_exact_estimate_compare(self, tmp_path, capsys):
         pfile = str(tmp_path / "p.txt")
@@ -327,6 +433,12 @@ class TestCli:
         text = open(out).read()
         assert text.splitlines()[0].startswith("example,")
         assert "r_N" in text.splitlines()[0]
+
+    def test_table_without_jobs_passes_the_config_alone(self, monkeypatch, capsys):
+        # callers may wrap run_experiment in a one-argument function
+        original = bench.run_experiment
+        monkeypatch.setattr(bench, "run_experiment", lambda config: original(config))
+        assert cli_main(["table3", "--n", "6", "--trials", "1"]) == 0
 
     def test_compare_requires_structure(self, tmp_path, capsys, rng):
         prob, _, _ = gen_example1(10, 4, 6, 1, 1.0, rng)
@@ -434,7 +546,8 @@ class TestCliErrors:
         self._one_line_error(capsys, [command, missing], missing)
 
     @pytest.mark.parametrize("table", ["table1", "table2", "table3"])
-    @pytest.mark.parametrize("flag, value", [("--trials", "-1"), ("--trials", "0"), ("--k", "0")])
+    @pytest.mark.parametrize("flag, value", [("--trials", "-1"), ("--trials", "0"), ("--k", "0"),
+                                             ("--jobs", "0"), ("--jobs", "-1")])
     def test_table_rejects_nonpositive_count(self, capsys, table, flag, value):
         self._one_line_error(capsys, [table, flag, value], f"{flag[2:]} must be at least 1")
 

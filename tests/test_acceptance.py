@@ -301,12 +301,12 @@ def test_criterion_8_estimator_contracts():
 
 
 def test_criterion_9_determinism(tmp_path, capsys):
-    paths = [str(tmp_path / f"t1_{i}.csv") for i in range(2)]
+    paths = [tmp_path / f"t1_{i}.csv" for i in range(2)]
     for path in paths:
-        rc = cli_main(["table1", "--seed", "42", "--out", path])
+        rc = cli_main(["table1", "--seed", "42", "--out", str(path)])
         assert rc == 0
     capsys.readouterr()  # swallow the two printed tables
-    a = open(paths[0], "rb").read()
-    b = open(paths[1], "rb").read()
+    a = paths[0].read_bytes()
+    b = paths[1].read_bytes()
     _report(9, "table1 --seed 42 twice produces byte-identical CSV", a == b,
             f"{len(a)} bytes")

@@ -426,11 +426,11 @@ class TestCli:
         assert cli_main(["exact", pfile]) == 0
 
     def test_table_subcommand_writes_csv(self, tmp_path, capsys):
-        out = str(tmp_path / "t.csv")
+        out = tmp_path / "t.csv"
         rc = cli_main(["table3", "--n", "6", "--trials", "2", "--seed", "5",
-                       "--out", out])
+                       "--out", str(out)])
         assert rc == 0
-        text = open(out).read()
+        text = out.read_text()
         assert text.splitlines()[0].startswith("example,")
         assert "r_N" in text.splitlines()[0]
 

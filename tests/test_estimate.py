@@ -22,7 +22,8 @@ from ilscond import (
     spectral_interval,
     wallis,
 )
-from ilscond.estimate import _directions
+from ilscond.bench import gen_example1
+from ilscond.estimate import _bidiag_smax, _directions
 from ilscond.exact import normwise_map
 
 from conftest import random_ils
@@ -150,14 +151,86 @@ class TestPce:
         assert a == b
 
     def test_ratio_near_one_at_published_size(self, rng):
-        from ilscond.bench import gen_example1
-
         for l in (0, 3):
             prob, _, _ = gen_example1(200, 120, 140, l, 1.0, rng)
             exact = kappa_2ils(prob, CondParams())
             est = estimate_kappa2_pce(prob, CondParams(), delta=0.01,
                                       epsilon=1e-3, seed=rng)
             assert est / exact == pytest.approx(1.0, abs=6e-3)
+
+
+def _bidiag_dense(ab, square):
+    # the j x (j+1) upper bidiagonal with diagonal ab[0] and superdiagonal
+    # ab[1], or its leading j x j block
+    j = ab.shape[1]
+    B = np.zeros((j, j + 1))
+    B[np.arange(j), np.arange(j)] = ab[0]
+    B[np.arange(j), np.arange(1, j + 1)] = ab[1]
+    return B[:, :j] if square else B
+
+
+class TestGolubKahanKernels:
+    @pytest.mark.parametrize("square", [True, False])
+    @pytest.mark.parametrize("graded", [False, True])
+    @pytest.mark.parametrize("scale", [2.0**-500, 1.0, 2.0**500], ids=["2^-500", "1", "2^500"])
+    def test_bidiag_smax_matches_dense_svd(self, square, graded, scale):
+        # graded entries span 1e-8 to 1e8; scaled by 2^-500 or 2^500, their
+        # squares leave the double range unless the kernel rescales first
+        rng = np.random.default_rng(0)
+        for j in range(1, 31):
+            ab = rng.uniform(0.5, 1.0, (2, j))
+            if graded:
+                ab *= 10.0 ** rng.uniform(-8, 8, (2, j))
+            ab *= scale
+            if square:
+                ab[1, -1] = 0.0
+            ref = np.linalg.svd(_bidiag_dense(ab, square), compute_uv=False)[0]
+            assert _bidiag_smax(ab) == pytest.approx(ref, rel=8 * np.finfo(float).eps, abs=0)
+
+    def test_left_space_exhausted_on_wide_operator(self):
+        # report-400's 20 x 1000 shape with prescribed singular values: no
+        # cap and too few steps for the probabilistic bound, so the interval
+        # closes when the 20 left vectors span the whole left space
+        rng = np.random.default_rng(4)
+        sigma = np.linspace(1.0, 0.9, 20)
+        left, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        right, _ = np.linalg.qr(rng.standard_normal((1000, 20)))
+        itv = spectral_interval((left * sigma) @ right.T, seed=5)
+        assert itv.iterations == 20 and not itv.ratio_not_met
+        assert itv.alpha1 <= sigma[0] <= itv.alpha2
+        assert itv.alpha2 / itv.alpha1 <= 1.0 + 3e-12
+
+
+class TestIterationCounts:
+    # step counts for seeds 0-9, recorded with the per-vector Gram-Schmidt
+    # loop and the dense bidiagonal SVD that the block bases and the
+    # tridiagonal eigenvalue solve replaced: a kernel may move the last bits
+    # of the bounds, not the step at which the iteration stops
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        # desk ex1 cells n^0 and n^3; report-400's family, ex1 at 400 x 200
+        # with a random orthonormal 20-column L, whose S is 20 x 1000
+        L, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((200, 20)))
+        return {
+            "desk-n0": (gen_example1(60, 36, 42, 0, 1.0, 5)[0], CondParams()),
+            "desk-n3": (gen_example1(60, 36, 42, 3, 1.0, 5)[0], CondParams()),
+            "report": (gen_example1(400, 200, 260, 2, 1.0, 5)[0], CondParams(L=L)),
+        }
+
+    @pytest.mark.parametrize("name, capped, steps", [
+        ("desk-n0", True, 2), ("desk-n3", True, 1), ("report", True, 20),
+        ("desk-n0", False, 2), ("desk-n3", False, 36), ("report", False, 20),
+    ])
+    def test_counts_match_recorded(self, problems, name, capped, steps):
+        prob, params = problems[name]
+        S = normwise_map(prob, params)
+        for seed in range(10):
+            if capped:
+                _, itv = estimate_kappa2_pce(prob, params, seed=seed, return_interval=True)
+            else:
+                itv = spectral_interval(S, seed=seed)
+            assert (itv.iterations, itv.ratio_not_met) == (steps, False)
 
 
 class TestSsceConfig:

@@ -399,15 +399,18 @@ def _job_count(jobs, ntasks):
 
 
 def _run_trials(config, tasks):
-    """Values of each ((kappa_label, rho, trial), seed) task; None if excluded."""
+    """Values (None if excluded) and (category, text, filename, lineno)
+    warnings of each ((kappa_label, rho, trial), seed) task."""
     out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        for (kappa_label, rho, _), seed in tasks:
+    for (kappa_label, rho, _), seed in tasks:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("ignore", IllConditionedWarning)
             try:
-                out.append(_run_trial(config, kappa_label, rho, np.random.default_rng(seed)))
+                vals = _run_trial(config, kappa_label, rho, np.random.default_rng(seed))
             except NotPositiveDefinite:
-                out.append(None)
+                vals = None
+        out.append((vals, [(w.category, str(w.message), w.filename, w.lineno)
+                           for w in caught]))
     return out
 
 
@@ -418,6 +421,8 @@ def run_experiment(config, jobs=None):
     spawned generator, so trials may run in any order and process.  They run
     in ``jobs`` processes, this one and jobs - 1 forked children, dealt
     round-robin and put back in trial order, so no output depends on ``jobs``.
+    Each trial's warnings come back with its values and are re-issued here
+    in trial order, once per location per call under a "default" filter.
     None means usable CPUs // BLAS threads (the first positive
     OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, else every CPU).  The count is
     capped at the usable CPUs and the trials, and is 1 off Linux.  Trials
@@ -429,14 +434,14 @@ def run_experiment(config, jobs=None):
             for trial in range(config.trials)]
     tasks = list(zip(grid, np.random.SeedSequence(config.seed).spawn(len(grid))))
     jobs = _job_count(jobs, len(tasks))
-    values = [None] * len(tasks)
+    results = [None] * len(tasks)
     readers = {}
     try:
         for j in range(1, jobs):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                # the child pickles its values or its exception and leaves
+                # the child pickles its results or its exception and leaves
                 # through os._exit: no atexit handler, no inherited buffer flushed
                 try:
                     with open(write_fd, "wb") as fh:
@@ -448,22 +453,27 @@ def run_experiment(config, jobs=None):
                     os._exit(0)
             os.close(write_fd)
             readers[pid] = open(read_fd, "rb")
-        values[0::jobs] = _run_trials(config, tasks[0::jobs])
-        for j, pid in enumerate(list(readers), 1):
-            with readers[pid] as fh:
-                payload = pickle.load(fh)
-            os.waitpid(pid, 0)
-            del readers[pid]
+        results[0::jobs] = _run_trials(config, tasks[0::jobs])
+        for j, fh in enumerate(readers.values(), 1):
+            payload = pickle.load(fh)
             if isinstance(payload, BaseException):
                 raise payload
-            values[j::jobs] = payload
+            results[j::jobs] = payload
     finally:
         for pid, fh in readers.items():
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     result = ExperimentResult(config=config, processes=jobs)
-    for (kappa_label, rho, trial), vals in zip(grid, values):
+    registry = {}
+    for (kappa_label, rho, trial), (vals, caught) in zip(grid, results):
+        for category, text, filename, lineno in caught:
+            # a filter may name the module, which warn() took from the frame;
+            # warn_explicit drops a warning whose module is None
+            module = next((name for name, mod in list(sys.modules.items())
+                           if getattr(mod, "__file__", None) == filename),
+                          os.path.splitext(filename)[0])
+            warnings.warn_explicit(text, category, filename, lineno, module, registry)
         if vals is None:
             key = (kappa_label, rho)
             result.failures[key] = result.failures.get(key, 0) + 1

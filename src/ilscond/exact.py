@@ -74,29 +74,17 @@ class CondParams:
             vals.append(float(w))
         return tuple(vals)
 
-    def psi_matrix(self, m, n):
-        if np.isscalar(self.psi):
-            return np.full((m, n), float(self.psi))
-        P = np.asarray(self.psi, dtype=float)
-        if P.shape != (m, n):
-            raise ValueError(f"elementwise psi must be {m}x{n}")
-        return P
-
-    def beta_vector(self, m):
-        if np.isscalar(self.beta):
-            return np.full(m, float(self.beta))
-        v = np.asarray(self.beta, dtype=float).ravel()
-        if v.size != m:
-            raise ValueError(f"elementwise beta must have length {m}")
-        return v
-
-    def xi_vector(self, k):
-        if np.isscalar(self.xi):
-            return np.full(k, float(self.xi))
-        v = np.asarray(self.xi, dtype=float).ravel()
-        if v.size != k:
-            raise ValueError(f"xi must have length {k}")
-        return v
+    def weights(self, name, shape):
+        """Weight ``name`` as an array of ``shape``: a scalar fills it, a vector is raveled."""
+        w = getattr(self, name)
+        if np.isscalar(w):
+            return np.full(shape, float(w))
+        w = np.asarray(w, dtype=float)
+        if len(shape) == 1:
+            w = w.ravel()
+        if w.shape != shape:
+            raise ValueError(f"{name} must be a scalar or an array of shape {shape}")
+        return w
 
 
 class JacobianMg:
@@ -105,9 +93,9 @@ class JacobianMg:
     Row i acts on vec(dA) as vec(w u_i^T - v_i x^T) and on db as v_i, with
     u_i, v_i the i-th columns of U and V.  Each problem class supplies its
     own generators in ``_build_jacobian`` (for the ILS map w = J r,
-    U = M^{-1} L and V = J A M^{-1} L).  Until dense() is
-    called, memory stays at the O((m + n) k) generators and, once asked
-    for, the k x (2m + n) factored form.
+    U = M^{-1} L and V = J A M^{-1} L).  Memory stays at the O((m + n) k)
+    generators and, once asked for, the k x (2m + n) factored form; dense()
+    builds a new array on each call and keeps none.
     """
 
     def __init__(self, w, U, V, x, A, b):
@@ -122,7 +110,6 @@ class JacobianMg:
         self.k = self.U.shape[1]
         if self.V.shape[1] != self.k or self.w.size != self.m or self.x.size != self.n:
             raise ValueError("inconsistent generator dimensions")
-        self._dense = None
         self._unit_factored = None
 
     @property
@@ -144,20 +131,18 @@ class JacobianMg:
 
     def dense(self):
         """Materialize the k x (m n + m) matrix (guarded against large sizes)."""
-        if self._dense is None:
-            entries = self.k * (self.m * self.n + self.m)
-            if entries > DENSE_ENTRY_GUARD:
-                raise MemoryError(
-                    f"dense first-order map would hold {entries} entries "
-                    f"(limit {DENSE_ENTRY_GUARD}); use the rows form"
-                )
-            out = np.empty(self.shape)
-            for i in range(self.k):
-                Ra, rb = self.row(i)
-                out[i, : self.m * self.n] = vec(Ra)
-                out[i, self.m * self.n:] = rb
-            self._dense = out
-        return self._dense
+        entries = self.k * (self.m * self.n + self.m)
+        if entries > DENSE_ENTRY_GUARD:
+            raise MemoryError(
+                f"dense first-order map would hold {entries} entries "
+                f"(limit {DENSE_ENTRY_GUARD}); use the rows form"
+            )
+        out = np.empty(self.shape)
+        for i in range(self.k):
+            Ra, rb = self.row(i)
+            out[i, : self.m * self.n] = vec(Ra)
+            out[i, self.m * self.n:] = rb
+        return out
 
     def factored(self, psi, beta):
         """k x (2m + n) S with S S^T = weighted_gram for constant weights psi, beta.
@@ -182,7 +167,7 @@ class JacobianMg:
         B3 = float(np.linalg.norm(self.x)) * (self.V.T - np.outer(c, self.w))
         return np.hstack([B1, -self.V.T, B3])
 
-    def weighted_gram(self, Wa, wb, rowscale=None):
+    def weighted_gram(self, Wa, wb, rowscale):
         """Gram matrix F F^T (k x k) of F = diag(rowscale) Mg diag([vec(Wa); wb]).
 
         Formed in O(m n k + k^2 (m + n)) without the m n + m columns.
@@ -192,8 +177,7 @@ class JacobianMg:
         G = self.U.T @ ((W2.T @ self.w**2)[:, None] * self.U)
         G += self.V.T @ ((W2 @ self.x**2 + np.ravel(wb) ** 2)[:, None] * self.V)
         G -= UCV + UCV.T
-        if rowscale is not None:
-            G *= np.outer(rowscale, rowscale)
+        G *= np.outer(rowscale, rowscale)
         return G
 
     def abs_weighted_rowsums(self, Wa, wb):
@@ -306,12 +290,12 @@ def kappa_unified(problem, params, mu=2, nu=2):
     if (mu, nu) not in ((2, 2), (np.inf, np.inf)):
         raise NotImplementedError(f"induced ({mu}, {nu})-norm is not supported")
     jac = params_jacobian(problem, params)
-    xi = params.xi_vector(jac.k)
+    xi = params.weights("xi", (jac.k,))
     if mu == 2 and np.isscalar(params.psi) and np.isscalar(params.beta):
         F = ddagger(xi)[:, None] * jac.factored(params.psi, params.beta)
         return _gram_norm(F @ F.T)
-    Wa = params.psi_matrix(problem.m, problem.n)
-    wb = params.beta_vector(problem.m)
+    Wa = params.weights("psi", (problem.m, problem.n))
+    wb = params.weights("beta", (problem.m,))
     if mu == np.inf:
         return componentwise_ratio(jac.abs_weighted_rowsums(np.abs(Wa), np.abs(wb)), xi)
     return _gram_norm(jac.weighted_gram(Wa, wb, ddagger(xi)))
@@ -462,7 +446,7 @@ class ConditionReport:
         if phi.size != sp.basisA.k or theta.size != sp.basisB.k:
             raise ValueError("varphi/theta lengths do not match the bases")
         num = self.structured_numerator(phi, theta)
-        return componentwise_ratio(num, self.params.xi_vector(self.jac.k))
+        return componentwise_ratio(num, self.params.weights("xi", (self.jac.k,)))
 
 
 def kappa_mixed(problem, params=None):

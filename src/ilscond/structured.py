@@ -24,6 +24,7 @@ from .kron import vec
 
 MATRIX_KINDS = ("toeplitz", "hankel", "symmetric", "stacked_scaled", "full")
 VECTOR_KINDS = ("full",)
+EXTRACT_TOL = 1e-12  # largest relative projection residual extract() accepts
 
 
 class StructureMismatch(ValueError):
@@ -70,13 +71,13 @@ class StructureBasis:
             return out.reshape(self.shape, order="F")
         return out
 
-    def extract(self, data, tol=1e-12):
+    def extract(self, data):
         """Recover the parameter vector of structured data.
 
         Uses the orthogonal projection s = diag(d^2)^{-1} Phi^T vec(data),
         exact for genuinely structured input.  Raises StructureMismatch when
-        the projection residual exceeds tol relative to the Frobenius norm,
-        naming the worst-offending entry.
+        the projection residual exceeds EXTRACT_TOL relative to the Frobenius
+        norm, naming the worst-offending entry.
         """
         data = np.asarray(data, dtype=float)
         if self.is_matrix:
@@ -92,7 +93,7 @@ class StructureBasis:
         resid = v - self._scatter(s)
         scale = max(np.linalg.norm(v), 1.0)
         worst = int(np.argmax(np.abs(resid)))
-        if np.abs(resid[worst]) > tol * scale:
+        if np.abs(resid[worst]) > EXTRACT_TOL * scale:
             if self.is_matrix:
                 i, j = worst % self.shape[0], worst // self.shape[0]
                 where = f"entry ({i}, {j})"

@@ -191,9 +191,8 @@ def kappa_composed_ils(stacked, blocks, params=None, mu=2, nu=2):
     """
     params = params or CondParams()
     L = params.l_matrix(stacked.n)
-    wcol = np.concatenate(
-        [vec(params.psi_matrix(stacked.p, stacked.n)), params.beta_vector(stacked.p)]
-    )
-    xi = params.xi_vector(L.shape[1])
+    wcol = np.concatenate([vec(params.weights("psi", (stacked.p, stacked.n))),
+                           params.weights("beta", (stacked.p,))])
+    xi = params.weights("xi", (L.shape[1],))
     F = (L.T @ composed_map(stacked, blocks)) * wcol * ddagger(xi)[:, None]
     return _induced_norm(F, mu, nu)

@@ -374,6 +374,26 @@ class TestParallelTrials:
                 run_experiment(tiny_config("ex2"), jobs=2)
         assert_no_child_left()
 
+    # a filter may also name the module that warns, here this one
+    @pytest.mark.parametrize("module", ["", __name__], ids=["any-module", "this-module"])
+    def test_worker_warnings_recorded_once_per_trial(self, monkeypatch, four_cpus, module):
+        original = bench._run_trial
+
+        def patched(config, kappa_label, rho, rng):
+            # the spawn key of a trial's seed is its index in the grid
+            warnings.warn(f"trial {rng.bit_generator.seed_seq.spawn_key[0]}", UserWarning)
+            return original(config, kappa_label, rho, rng)
+
+        monkeypatch.setattr(bench, "_run_trial", patched)
+        for jobs in (1, 2, 3):
+            with warnings.catch_warnings(record=True) as log:
+                warnings.simplefilter("ignore")
+                warnings.filterwarnings("always", module=module)
+                run_experiment(table3_config(n=6, trials=2, rho_grid=(1.0,)), jobs=jobs)
+            assert_no_child_left()
+            assert all(w.category is UserWarning for w in log)
+            assert [str(w.message) for w in log] == ["trial 0", "trial 1"]
+
     @pytest.mark.parametrize("env, cpus, ntasks, expected", [
         ({}, 2, 100, 1),
         ({"OPENBLAS_NUM_THREADS": "1"}, 2, 100, 2),

@@ -36,8 +36,8 @@ def rel_err(a, b):
 
 def weighted_dense_norm(dense, params, m, n):
     """SVD spectral norm of diag(xi^ddagger) * dense * diag([vec(psi); beta])."""
-    w = np.concatenate([vec(params.psi_matrix(m, n)), params.beta_vector(m)])
-    rows = ddagger(params.xi_vector(dense.shape[0]))
+    w = np.concatenate([vec(params.weights("psi", (m, n))), params.weights("beta", (m,))])
+    rows = ddagger(params.weights("xi", (dense.shape[0],)))
     return np.linalg.norm(rows[:, None] * dense * w[None, :], 2)
 
 
@@ -90,6 +90,17 @@ class TestBuildMg:
         monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
         with pytest.raises(MemoryError):
             prob.jacobian().dense()
+
+    def test_dense_builds_a_new_array_per_call(self, rng, monkeypatch):
+        jac = random_ils(rng, m=10, n=4).jacobian()
+        first, second = jac.dense(), jac.dense()
+        assert not np.shares_memory(first, second)
+        assert first.flags.writeable and second.flags.writeable
+        np.testing.assert_array_equal(first, second)
+        # nothing was kept, so the guard still holds for this map
+        monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
+        with pytest.raises(MemoryError):
+            jac.dense()
 
 
 class TestKappaUnified:
@@ -307,6 +318,16 @@ class TestCondParamsValidation:
 
     def test_zero_elementwise_weights_accepted(self):
         CondParams(psi=np.zeros((3, 2)), beta=np.zeros(3), xi=np.zeros(2))
+
+    @pytest.mark.parametrize("name, shape, expected", [
+        ("psi", (5, 3), r"\(6, 3\)"), ("psi", (3, 6), r"\(6, 3\)"),
+        ("beta", (4,), r"\(6,\)"), ("xi", (2,), r"\(3,\)"),
+    ])
+    def test_mis_shaped_weight_named(self, rng, name, shape, expected):
+        prob = random_ils(rng, m=6, n=3)
+        message = f"{name} must be a scalar or an array of shape {expected}"
+        with pytest.raises(ValueError, match=message):
+            kappa_unified(prob, CondParams(**{name: np.ones(shape)}), np.inf, np.inf)
 
 
 class TestKappa2:

@@ -105,7 +105,7 @@ def test_factored_gram_equals_weighted_gram(kind, rng):
     jac = _factored_case(kind, rng)
     psi, beta = 1.2, 0.8
     S = jac.factored(psi, beta)
-    G = jac.weighted_gram(np.full((jac.m, jac.n), psi), np.full(jac.m, beta))
+    G = jac.weighted_gram(np.full((jac.m, jac.n), psi), np.full(jac.m, beta), np.ones(jac.k))
     assert S.shape == (jac.k, 2 * jac.m + jac.n)
     assert np.linalg.norm(S @ S.T - G) <= 1e-12 * np.linalg.norm(G)
 
@@ -261,8 +261,8 @@ def test_scalar_weight_unified_reads_factored_form(kind, rng, monkeypatch):
                                             beta=0.7, xi=np.array([2.0, 0.0, 0.5]))):
         got = kappa_unified(prob, params, 2, 2)
         jac = params_jacobian(prob, params)
-        Wa, wb = params.psi_matrix(prob.m, prob.n), params.beta_vector(prob.m)
-        G = jac.weighted_gram(Wa, wb, ddagger(params.xi_vector(jac.k)))
+        Wa, wb = params.weights("psi", (prob.m, prob.n)), params.weights("beta", (prob.m,))
+        G = jac.weighted_gram(Wa, wb, ddagger(params.weights("xi", (jac.k,))))
         expected = np.sqrt(np.linalg.eigvalsh(G)[-1])
         assert rel_err(got, expected) <= 1e-12
     assert len(grams) == 2  # the two reference values above, none from kappa_unified

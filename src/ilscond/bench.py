@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .estimate import SsceConfig, estimate_kappa2_pce, estimate_kappa2_ssce, \
+from .estimate import SsceConfig, _orthonormal, estimate_kappa2_pce, estimate_kappa2_ssce, \
     estimate_kappa_inf_ssce
 from .exact import CondParams, ConditionReport, kappa_2ils
 from .ils import (EPS, IllConditionedWarning, IlsProblem, NotPositiveDefinite,
@@ -73,15 +73,6 @@ def gen_example1(m, n, p, l, rho, seed):
     return IlsProblem(A, b, SignatureSplit(p, q)), x, r
 
 
-def _orthonormal(rng, rows, cols):
-    # orthonormal columns when rows >= cols, orthonormal rows otherwise
-    if rows >= cols:
-        Q, R = np.linalg.qr(rng.standard_normal((rows, cols)))
-        return Q * np.sign(np.diag(R))
-    Q, R = np.linalg.qr(rng.standard_normal((cols, rows)))
-    return (Q * np.sign(np.diag(R))).T
-
-
 def gen_example2(m, n, p, kappa, rho, seed):
     """Stacked orthogonal instance [Q1 D U; Q2 D U / 2] with graded D.
 
@@ -98,9 +89,10 @@ def gen_example2(m, n, p, kappa, rho, seed):
         raise ValueError("need n >= 2")
     q = m - p
     rng = np.random.default_rng(seed)
-    Q1 = _orthonormal(rng, p, n)
-    Q2 = _orthonormal(rng, q, n)
-    Uo = _orthonormal(rng, n, n)
+    # each factor in the memory order numpy's linalg.qr gave it, the opposite
+    # of LAPACK's: the order decides how BLAS sums the products that form A
+    Q1, Q2, Uo = (np.copy(Q, order="F" if Q.flags.c_contiguous else "C")
+                  for Q in [_orthonormal(rng, rows, n) for rows in (p, q, n)])
     d = kappa ** (-(n - 1.0 - np.arange(n)) / (n - 1.0))
     DU = d[:, None] * Uo
     A = np.vstack([Q1 @ DU, 0.5 * (Q2 @ DU)])
@@ -399,8 +391,8 @@ def _job_count(jobs, ntasks):
 
 
 def _run_trials(config, tasks):
-    """Values (None if excluded) and (category, text, filename, lineno)
-    warnings of each ((kappa_label, rho, trial), seed) task."""
+    """Values (None if excluded) and ((module, qualname) of the category, text,
+    filename, lineno) warnings of each ((kappa_label, rho, trial), seed) task."""
     out = []
     for (kappa_label, rho, _), seed in tasks:
         with warnings.catch_warnings(record=True) as caught:
@@ -409,9 +401,17 @@ def _run_trials(config, tasks):
                 vals = _run_trial(config, kappa_label, rho, np.random.default_rng(seed))
             except NotPositiveDefinite:
                 vals = None
-        out.append((vals, [(w.category, str(w.message), w.filename, w.lineno)
-                           for w in caught]))
+        out.append((vals, [((w.category.__module__, w.category.__qualname__),
+                            str(w.message), w.filename, w.lineno) for w in caught]))
     return out
+
+
+def _warning_category(name, cls=Warning):
+    # the newest live subclass of cls, or cls, named (module, qualname): also one made before a fork
+    if (cls.__module__, cls.__qualname__) == name:
+        return cls
+    return next(filter(None, (_warning_category(name, sub)
+                              for sub in reversed(cls.__subclasses__()))), None)
 
 
 def run_experiment(config, jobs=None):
@@ -467,7 +467,11 @@ def run_experiment(config, jobs=None):
     result = ExperimentResult(config=config, processes=jobs)
     registry = {}
     for (kappa_label, rho, trial), (vals, caught) in zip(grid, results):
-        for category, text, filename, lineno in caught:
+        for qualified, text, filename, lineno in caught:
+            # by name, since pickle cannot send a class defined in a function
+            category = _warning_category(qualified)
+            if category is None:
+                category, text = UserWarning, f"{'.'.join(qualified)}: {text}"
             # a filter may name the module, which warn() took from the frame;
             # warn_explicit drops a warning whose module is None
             module = next((name for name, mod in list(sys.modules.items())

@@ -14,7 +14,7 @@ from . import bench, probfile
 from .estimate import SsceConfig, estimate_kappa2_pce, estimate_kappa2_ssce, \
     estimate_kappa_inf_ssce
 from .exact import CondParams, ConditionReport, kappa_2ils
-from .structured import StructuredParams, basis_from_token, basis_token, make_basis
+from .structured import StructuredParams, basis_from_token, make_basis
 
 
 def _add_common(parser):
@@ -99,17 +99,16 @@ _ROWS = (
 
 
 def _cmd_gen(args):
+    structure = None
     if args.example == "ex1":
         problem, _, _ = bench.gen_example1(args.m, args.n, args.p, args.l,
                                            args.rho, args.seed)
-        structure = None
     elif args.example == "ex2":
         problem, _, _ = bench.gen_example2(args.m, args.n, args.p, args.kappa,
                                            args.rho, args.seed)
-        structure = None
     else:
         problem, sparams, _, _ = bench.gen_example3(args.n, args.rho, args.seed)
-        structure = basis_token(sparams.basisA)
+        structure = sparams.basisA.kind
     out = args.out or "problem.txt"
     probfile.save_problem(out, problem, structure=structure)
     print(f"wrote {out} ({problem.m}x{problem.n}, p={problem.p}, q={problem.q}"

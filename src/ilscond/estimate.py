@@ -14,7 +14,7 @@ from numbers import Integral
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dorgqr, dsterf
 
-from .exact import CondParams, ConditionReport, componentwise_ratio, mixed_ratio, normwise_map
+from .exact import CondParams, ConditionReport, componentwise_ratio, mixed_ratio
 from .kron import unvec
 
 
@@ -30,19 +30,25 @@ def wallis(k):
     return math.sqrt(2.0 / (math.pi * (k - 0.5)))
 
 
-def _directions(rng, dim, k, name):
-    """k orthonormal Gaussian directions in R^dim and the Wallis ratio w_k / w_dim.
+def _orthonormal(rng, rows, cols):
+    """Haar-random orthonormal columns, or rows when rows < cols (then the transpose).
 
-    k is checked against dim (called ``name`` in the message) before the
-    draw.  Q is the Q of np.linalg.qr, bit for bit, from the same two LAPACK
-    calls without its copies; column-major, so each direction Q[:, i] is
-    contiguous.
+    dgeqrf + dorgqr on a Gaussian draw, column-major, with the signs of R's
+    diagonal divided out (Mezzadri, Notices AMS 2007): numpy's linalg.qr Q times those
+    signs, bit for bit up to 128 columns (above, numpy's larger workspace makes LAPACK block).
     """
+    qr, tau, _, _ = dgeqrf(rng.standard_normal((max(rows, cols), min(rows, cols))))
+    Q, _, _ = dorgqr(qr, tau)
+    Q *= np.copysign(1.0, np.diagonal(qr))
+    return Q if rows >= cols else Q.T
+
+
+def _directions(rng, dim, k, name):
+    """k orthonormal Gaussian directions in R^dim, the columns of Q, and the Wallis
+    ratio w_k / w_dim; k is checked against dim (``name`` in the message) first."""
     if k > dim:
         raise ValueError(f"sample count k must not exceed {name}")
-    qr, tau, _, _ = dgeqrf(rng.standard_normal((dim, k)))
-    Q, _, _ = dorgqr(qr, tau)
-    return Q, wallis(k) / wallis(dim)
+    return _orthonormal(rng, dim, k), wallis(k) / wallis(dim)
 
 
 @dataclass
@@ -254,15 +260,15 @@ def estimate_kappa2_pce(problem, params=None, delta=1e-2, epsilon=1e-3, seed=Non
                         return_interval=False):
     """Probabilistic estimate of the 2-norm condition number.
 
-    Brackets the spectral norm of the factored form S (exact.normwise_map)
+    Brackets the spectral norm of the factored form S (JacobianMg.factored)
     in [alpha1, alpha2] with alpha2/alpha1 <= 1 + delta and returns the
     scaled midpoint, so the relative error is at most about delta/2 whenever
     the interval contract holds.  Golub-Kahan multiplies with the same S
     that gives the cap min(sqrt(||S||_1 ||S||_inf), ||S||_F).
     """
     params = params or CondParams()
-    _, _, xi = params.scalars()
-    S = normwise_map(problem, params)
+    psi, beta, xi = params.scalars()
+    S = problem.jacobian(params.L).factored(psi, beta)
     abs_s = np.abs(S)
     n1 = float(np.max(np.sum(abs_s, axis=0)))
     ninf = float(np.max(np.sum(abs_s, axis=1)))
@@ -281,7 +287,7 @@ def estimate_kappa2_pce(problem, params=None, delta=1e-2, epsilon=1e-3, seed=Non
 def estimate_kappa2_ssce(problem, params=None, config=None):
     """Small-sample estimate of the 2-norm condition number, for any L.
 
-    S is the factored form (exact.normwise_map), with one row per column of
+    S is the factored form (JacobianMg.factored), with one row per column of
     L (n rows for the default L).  Draws k orthonormal directions Q in that
     many dimensions, takes the per-direction condition values as the
     squared row norms of Q^T S, and combines them with Wallis factors:
@@ -289,8 +295,8 @@ def estimate_kappa2_ssce(problem, params=None, config=None):
     """
     params = params or CondParams()
     config = config or SsceConfig()
-    _, _, xi = params.scalars()
-    S = normwise_map(problem, params)
+    psi, beta, xi = params.scalars()
+    S = problem.jacobian(params.L).factored(psi, beta)
     Q, factor = _directions(config.make_rng(), S.shape[0], config.k,
                             "n" if params.L is None else "the columns of L")
     return float(factor * np.linalg.norm(Q.T @ S) / xi)

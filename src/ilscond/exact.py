@@ -50,17 +50,7 @@ class CondParams:
                 raise ValueError(f"scalar weight {name} must be strictly positive")
 
     def l_matrix(self, n):
-        if self.L is None:
-            return np.eye(n)
-        L = np.atleast_2d(np.asarray(self.L))
-        if L.shape[0] == 1 and n > 1 and L.shape[1] == n:
-            L = L.T
-        L = checked_data("L", L, matrix=True)
-        if L.shape[0] != n:
-            raise ValueError(f"L must have {n} rows, got {L.shape[0]}")
-        if L.shape[1] > n:
-            raise ValueError("L may have at most n columns")
-        return L
+        return np.eye(n) if self.L is None else _checked_l(self.L, n)
 
     def scalars(self):
         """The (psi, beta, xi) triple, requiring all three to be scalars."""
@@ -85,6 +75,16 @@ class CondParams:
         if w.shape != shape:
             raise ValueError(f"{name} must be a scalar or an array of shape {shape}")
         return w
+
+
+def _checked_l(L, n):
+    """L as a real, finite n x l matrix with 1 <= l <= n: the check of every route that reads L."""
+    L = checked_data("L", L, matrix=True)
+    if L.shape[0] != n:
+        raise ValueError(f"L must have {n} rows, got {L.shape[0]}")
+    if L.shape[1] > n:
+        raise ValueError("L may have at most n columns")
+    return L
 
 
 class JacobianMg:
@@ -248,16 +248,11 @@ class SharedJacobian:
             if self._identity_jacobian is None:
                 self._identity_jacobian = self._build_jacobian(None)
             return self._identity_jacobian
-        L = checked_data("L", L, matrix=True)
+        L = _checked_l(L, self.n)
         key = (L.shape, L.tobytes())
         if self._explicit_jacobian[0] != key:
             self._explicit_jacobian = (key, self._build_jacobian(L))
         return self._explicit_jacobian[1]
-
-
-def params_jacobian(problem, params):
-    """``problem.jacobian`` for the L of params; the default L reads the identity-L map."""
-    return problem.jacobian(None if params.L is None else params.l_matrix(problem.n))
 
 
 def _segment_starts(basis):
@@ -289,7 +284,7 @@ def kappa_unified(problem, params, mu=2, nu=2):
     """
     if (mu, nu) not in ((2, 2), (np.inf, np.inf)):
         raise NotImplementedError(f"induced ({mu}, {nu})-norm is not supported")
-    jac = params_jacobian(problem, params)
+    jac = problem.jacobian(params.L)
     xi = params.weights("xi", (jac.k,))
     if mu == 2 and np.isscalar(params.psi) and np.isscalar(params.beta):
         F = ddagger(xi)[:, None] * jac.factored(params.psi, params.beta)
@@ -301,23 +296,14 @@ def kappa_unified(problem, params, mu=2, nu=2):
     return _gram_norm(jac.weighted_gram(Wa, wb, ddagger(xi)))
 
 
-def normwise_map(problem, params):
-    """The factored form S (JacobianMg.factored) whose ||S||_2 / xi is the 2-norm kappa.
-
-    The default L reads the problem's one identity-L Jacobian.
-    """
-    psi, beta, _ = params.scalars()
-    return params_jacobian(problem, params).factored(psi, beta)
-
-
 def kappa_2ils(problem, params=None):
     """Partial 2-norm condition number ||S||_2 / xi of the factored form, via S S^T.
 
     Serves every problem with a ``jacobian``: IlsProblem and TlsProblem.
     """
     params = params or CondParams()
-    _, _, xi = params.scalars()
-    S = normwise_map(problem, params)
+    psi, beta, xi = params.scalars()
+    S = problem.jacobian(params.L).factored(psi, beta)
     return _gram_norm(S @ S.T) / xi
 
 
@@ -378,7 +364,7 @@ class ConditionReport:
 
     @cached_property
     def jac(self):
-        return params_jacobian(self.problem, self.params)
+        return self.problem.jacobian(self.params.L)
 
     @cached_property
     def ltx(self):

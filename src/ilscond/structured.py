@@ -38,7 +38,8 @@ class StructureBasis:
     vec(data)) and column param[e] with value value[e]; the entries are
     stably sorted by param, so the entries of one parameter are contiguous.
     Every parameter in range(k) needs at least one entry; d holds the k
-    column norms.
+    column norms.  ``kind`` is the structure token of a problem file, which
+    basis_from_token parses back into this basis.
     """
 
     def __init__(self, kind, shape, param, index, value):
@@ -161,13 +162,12 @@ def make_basis(kind, m, n=None, base_kind="toeplitz", scale=0.5):
     base = make_basis(base_kind, mb, n)
     jj, ii = np.divmod(base.index, mb)
     top = jj * m + ii
-    # each parameter keeps its top entries first, then the scaled copies
-    basis = StructureBasis(kind, (m, n), np.concatenate([base.param, base.param]),
-                           np.concatenate([top, top + mb]),
-                           np.concatenate([base.value, scale * base.value]))
-    basis.base_kind = base_kind
-    basis.scale = float(scale)
-    return basis
+    # each parameter keeps its top entries first, then the scaled copies; the
+    # kind is the file token, whose repr of the scale round-trips exactly
+    return StructureBasis(f"stacked_scaled:{base_kind}:{float(scale)!r}", (m, n),
+                          np.concatenate([base.param, base.param]),
+                          np.concatenate([top, top + mb]),
+                          np.concatenate([base.value, scale * base.value]))
 
 
 def basis_from_token(token, m, n):
@@ -178,13 +178,6 @@ def basis_from_token(token, m, n):
         scale = float(parts[2]) if len(parts) > 2 else 0.5
         return make_basis("stacked_scaled", m, n, base_kind=base, scale=scale)
     return make_basis(parts[0], m, n)
-
-
-def basis_token(basis):
-    """Inverse of basis_from_token for the supported kinds."""
-    if basis.kind == "stacked_scaled":
-        return f"stacked_scaled:{basis.base_kind}:{basis.scale:g}"
-    return basis.kind
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ilscond import (CondParams, ConditionReport, NumericallySingular, StructuredParams,
-                     kappa_2ils, load_problem, make_basis, save_problem)
+from ilscond import (CondParams, ConditionReport, IlsProblem, NumericallySingular,
+                     SignatureSplit, StructuredParams, kappa_2ils, load_problem, make_basis,
+                     save_problem)
 from ilscond import bench
 from ilscond.bench import (
     ExperimentConfig,
@@ -51,6 +52,36 @@ class TestGenerators:
     def test_example1_shape_validation(self, rng):
         with pytest.raises(ValueError):
             gen_example1(20, 8, 6, 1, 1.0, rng)
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: gen_example2(20, 8, 7, 1e4, 1.0, 0), "need n <= p < m",
+                     id="ex2-p-below-n"),
+        pytest.param(lambda: gen_example2(20, 8, 20, 1e4, 1.0, 0), "need n <= p < m",
+                     id="ex2-p-at-m"),
+        pytest.param(lambda: gen_example2(4, 1, 2, 1e4, 1.0, 0), "need n >= 2", id="ex2-n-1"),
+        pytest.param(lambda: gen_example3(1, 1.0, 0), "need n >= 2", id="ex3-n-1"),
+    ])
+    def test_shape_named(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("m, n, p", [(60, 25, 35), (120, 50, 70), (40, 20, 22)],
+                             ids=["desk", "full", "q-below-n"])
+    def test_example2_bits_match_qr_reference(self, m, n, p):
+        # A rebuilt from np.linalg.qr's Q with R's diagonal made positive, in
+        # its layout, the draws in the generator's order; q < n takes the
+        # transposed branch
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            factors = []
+            for rows in (p, m - p, n):
+                Q, R = np.linalg.qr(rng.standard_normal((max(rows, n), min(rows, n))))
+                Q = Q * np.sign(np.diag(R))
+                factors.append(Q if rows >= n else Q.T)
+            Q1, Q2, Uo = factors
+            DU = (1e4 ** (-(n - 1.0 - np.arange(n)) / (n - 1.0)))[:, None] * Uo
+            expected = np.vstack([Q1 @ DU, 0.5 * (Q2 @ DU)])
+            np.testing.assert_array_equal(gen_example2(m, n, p, 1e4, 1.0, seed)[0].A, expected)
 
     def test_example2_diagonal_range(self, rng):
         kappa = 1e6
@@ -185,6 +216,15 @@ class TestProblemFile:
         path = tmp_path / "bad.txt"
         path.write_text("NOT_ILS 1 2 3\n")
         with pytest.raises(ValueError):
+            load_problem(path)
+
+    @pytest.mark.parametrize("text", ["ILS 3 2.5 2 1\n1 0\n0 1\n1 1\n1 2 3\n",
+                                      "ILS 3 two 2 1\n1 0\n0 1\n1 1\n1 2 3\n", "ILS 3 2\n"],
+                             ids=["fractional", "word", "missing"])
+    def test_non_integer_or_missing_size_named(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="malformed header"):
             load_problem(path)
 
     def test_nonpositive_dimension_named(self, tmp_path):
@@ -394,6 +434,42 @@ class TestParallelTrials:
             assert all(w.category is UserWarning for w in log)
             assert [str(w.message) for w in log] == ["trial 0", "trial 1"]
 
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_warning_category_defined_in_a_function(self, monkeypatch, four_cpus, jobs):
+        # pickle cannot send such a class; its name travels instead and names
+        # the same live class here, which a worker forked after its definition
+        # shares
+        class LocalWarning(UserWarning):
+            pass
+
+        original = bench._run_trial
+
+        def patched(config, kappa_label, rho, rng):
+            warnings.warn("local category", LocalWarning)
+            return original(config, kappa_label, rho, rng)
+
+        monkeypatch.setattr(bench, "_run_trial", patched)
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            run_experiment(table2_config(trials=2), jobs=jobs)
+        assert_no_child_left()
+        assert len(log) == 40
+        assert all(w.category is LocalWarning for w in log)
+
+    def test_warning_category_made_after_the_fork(self, monkeypatch, four_cpus):
+        # a class a worker makes has no live counterpart here: UserWarning,
+        # with the qualified name in the text
+        def act():
+            warnings.warn("made in a worker", type("ChildWarning", (UserWarning,), {}))
+
+        in_child_only(monkeypatch, act)
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            run_experiment(tiny_config("ex3"), jobs=2)
+        assert_no_child_left()
+        assert {(w.category, str(w.message)) for w in log} == {
+            (UserWarning, f"{__name__}.ChildWarning: made in a worker")}
+
     @pytest.mark.parametrize("env, cpus, ntasks, expected", [
         ({}, 2, 100, 1),
         ({"OPENBLAS_NUM_THREADS": "1"}, 2, 100, 2),
@@ -459,6 +535,17 @@ class TestCli:
         original = bench.run_experiment
         monkeypatch.setattr(bench, "run_experiment", lambda config: original(config))
         assert cli_main(["table3", "--n", "6", "--trials", "1"]) == 0
+
+    def test_compare_reads_back_any_stacked_scale(self, tmp_path, capsys, rng):
+        # the basis kind is the file token, with a scale that round-trips exactly
+        basis = make_basis("stacked_scaled", 12, 6, base_kind="toeplitz", scale=1 / 3)
+        A = basis.embed(rng.standard_normal(basis.k))  # [B; B / 3], B Toeplitz
+        prob = IlsProblem(A, rng.standard_normal(12), SignatureSplit(6, 6))
+        pfile = str(tmp_path / "s.txt")
+        save_problem(pfile, prob, structure=basis.kind)
+        assert cli_main(["compare", pfile]) == 0
+        assert capsys.readouterr().out.startswith(
+            "structure: stacked_scaled:toeplitz:0.3333333333333333\n")
 
     def test_compare_requires_structure(self, tmp_path, capsys, rng):
         prob, _, _ = gen_example1(10, 4, 6, 1, 1.0, rng)

@@ -24,7 +24,6 @@ from ilscond import (
 )
 from ilscond.bench import gen_example1
 from ilscond.estimate import _bidiag_smax, _directions
-from ilscond.exact import normwise_map
 
 from conftest import random_ils
 
@@ -224,7 +223,7 @@ class TestIterationCounts:
     ])
     def test_counts_match_recorded(self, problems, name, capped, steps):
         prob, params = problems[name]
-        S = normwise_map(prob, params)
+        S = prob.jacobian(params.L).factored(1.0, 1.0)
         for seed in range(10):
             if capped:
                 _, itv = estimate_kappa2_pce(prob, params, seed=seed, return_interval=True)
@@ -261,7 +260,7 @@ class TestSsce2:
         tls = TlsProblem(A, A @ rng.standard_normal(4) + 0.3 * rng.standard_normal(12))
         params = CondParams(psi=1.2, beta=0.8, xi=1.5)
         est = estimate_kappa2_ssce(tls, params, SsceConfig(k=tls.n, seed=3))
-        frob = np.linalg.norm(normwise_map(tls, params)) / 1.5
+        frob = np.linalg.norm(tls.jacobian().factored(1.2, 0.8)) / 1.5
         assert est == pytest.approx(frob, rel=1e-13)
         assert est >= kappa_2tls(tls, params) * (1 - 1e-12)
 
@@ -284,7 +283,7 @@ class TestSsce2:
             L = rng.standard_normal((prob.n, 2))
             params = CondParams(L=L, psi=1.3, beta=0.7, xi=2.0)
             est = estimate_kappa2_ssce(prob, params, SsceConfig(k=2, seed=1))
-            frob = np.linalg.norm(normwise_map(prob, params)) / 2.0
+            frob = np.linalg.norm(prob.jacobian(L).factored(1.3, 0.7)) / 2.0
             assert est == pytest.approx(frob, rel=1e-13)
             with pytest.raises(ValueError, match="k must not exceed the columns of L"):
                 estimate_kappa2_ssce(prob, params, SsceConfig(k=3, seed=1))
@@ -328,8 +327,11 @@ class TestSsceInf:
         Q, factor = _directions(np.random.default_rng(5), 40, 3, "t")
         gram = Q.T @ Q
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
-        # the Q of np.linalg.qr of the same draw, bit for bit
-        assert np.array_equal(Q, np.linalg.qr(np.random.default_rng(5).standard_normal((40, 3)))[0])
+        # the Q of np.linalg.qr of the same draw with R's diagonal made
+        # positive, bit for bit, and still column-major
+        ref, R = np.linalg.qr(np.random.default_rng(5).standard_normal((40, 3)))
+        assert np.array_equal(Q, ref * np.sign(np.diag(R)))
+        assert Q.flags.f_contiguous
         assert factor == wallis(3) / wallis(40)
 
     def test_k_cannot_exceed_data_dimension(self, rng):

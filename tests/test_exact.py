@@ -311,6 +311,10 @@ class TestCondParamsValidation:
         pytest.param("psi", np.array([[1.0, np.nan], [0.0, 2.0]]), id="psi-elementwise-nan"),
         pytest.param("beta", np.array([1.0, -np.inf]), id="beta-elementwise-inf"),
         pytest.param("xi", np.array([np.nan, 1.0]), id="xi-elementwise-nan"),
+        # a scalar weight must also be positive
+        pytest.param("psi", 0.0, id="psi-zero"),
+        pytest.param("beta", -1.0, id="beta-negative"),
+        pytest.param("xi", 0, id="xi-zero"),
     ])
     def test_non_finite_weight_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):

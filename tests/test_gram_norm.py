@@ -31,7 +31,7 @@ from ilscond import (
     kappa_unified,
 )
 from ilscond.bench import _run_trial, gen_example1, gen_example3, table1_config
-from ilscond.exact import JacobianMg, normwise_map, params_jacobian
+from ilscond.exact import JacobianMg
 from ilscond.ils import SpdFactor
 from ilscond.kron import ddagger
 
@@ -48,7 +48,8 @@ def rel_err(a, b):
 
 def svd_kappa2(problem, params):
     """The SVD route: the 2-norm of the dense factored map, over xi."""
-    return np.linalg.norm(normwise_map(problem, params), 2) / params.scalars()[2]
+    psi, beta, xi = params.scalars()
+    return np.linalg.norm(problem.jacobian(params.L).factored(psi, beta), 2) / xi
 
 
 def structured_f(report):
@@ -260,7 +261,7 @@ def test_scalar_weight_unified_reads_factored_form(kind, rng, monkeypatch):
     for params in (CondParams(), CondParams(L=rng.standard_normal((prob.n, 3)), psi=1.3,
                                             beta=0.7, xi=np.array([2.0, 0.0, 0.5]))):
         got = kappa_unified(prob, params, 2, 2)
-        jac = params_jacobian(prob, params)
+        jac = prob.jacobian(params.L)
         Wa, wb = params.weights("psi", (prob.m, prob.n)), params.weights("beta", (prob.m,))
         G = jac.weighted_gram(Wa, wb, ddagger(params.weights("xi", (jac.k,))))
         expected = np.sqrt(np.linalg.eigvalsh(G)[-1])

@@ -261,6 +261,18 @@ class TestBoundaryValidation:
         pytest.param(_l_routes(np.full((3, 3), np.nan)), "L has non-finite", id="nan-L"),
         pytest.param(_l_routes(np.zeros((3, 0))), "L has no columns", id="column-free-L"),
         pytest.param(_l_routes(np.ones((3, 3, 1))), "L must be a matrix", id="3d-L"),
+        # every route applies the one L check: n rows and at most n columns,
+        # with no transposed 1 x n row or 1-D vector accepted in place of a column
+        pytest.param(_l_routes(np.ones((2, 2))), "L must have 3 rows, got 2", id="short-L"),
+        pytest.param(_l_routes(np.ones((3, 4))), "L may have at most n columns", id="wide-L"),
+        pytest.param(_l_routes(np.ones((1, 3))), "L must have 3 rows, got 1", id="row-L"),
+        pytest.param(_l_routes(np.ones(3)), "L must be a matrix", id="vector-L"),
+        pytest.param([lambda prob: IlsProblem(prob.A, prob.b[:-1], prob.split)],
+                     "b has length 7, expected 8", id="short-b-ils"),
+        pytest.param([lambda prob: TlsProblem(prob.A, prob.b[:-1])],
+                     "b has length 7, expected 8", id="short-b-tls"),
+        pytest.param([lambda prob: SignatureSplit(prob.p, -1)], "q must be nonnegative",
+                     id="negative-q"),
         pytest.param([lambda prob: IlsProblem(np.zeros((8, 0)), prob.b, prob.split)],
                      "A has no columns", id="column-free-A-ils"),
         pytest.param([lambda prob: TlsProblem(np.zeros((8, 0)), prob.b)],

@@ -19,7 +19,7 @@ from ilscond import (
 )
 from ilscond.bench import gen_example3
 from ilscond.kron import ddagger, entrywise_div
-from ilscond.structured import basis_from_token, basis_token
+from ilscond.structured import basis_from_token
 
 from conftest import dense_mg_oracle, random_ils
 
@@ -103,10 +103,26 @@ class TestBases:
         with pytest.raises(ValueError):
             make_basis("toeplitz", 5)  # vector data has no toeplitz structure
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: make_basis("toeplitz", 4, 3).embed(np.ones(5)),
+                     "parameter vector has length 5, expected 6", id="embed-length"),
+        pytest.param(lambda: make_basis("toeplitz", 4, 3).extract(np.ones((3, 4))),
+                     r"data shape \(3, 4\), expected \(4, 3\)", id="extract-shape"),
+        pytest.param(lambda: make_basis("full", 4).extract(np.ones(5)),
+                     "data length 5, expected 4", id="extract-length"),
+        pytest.param(lambda: make_basis("stacked_scaled", 5, 3),
+                     "stacked_scaled needs an even row count", id="stacked-odd-rows"),
+    ])
+    def test_wrong_size_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_token_roundtrip(self):
-        for token in ("toeplitz", "hankel", "stacked_scaled:toeplitz:0.5"):
+        # a scale's repr round-trips, so the kind names its basis exactly
+        for token in ("toeplitz", "hankel", "stacked_scaled:toeplitz:0.5",
+                      f"stacked_scaled:hankel:{1 / 3!r}", "stacked_scaled:toeplitz:1e-30"):
             basis = basis_from_token(token, 8, 4)
-            assert basis_token(basis) == token
+            assert basis.kind == token
 
 
 class TestExtract:
@@ -264,6 +280,23 @@ class TestStructuredGeneral:
         assert rel_err(
             ConditionReport(prob, CondParams(), gen).structured_general, expected
         ) <= 1e-12
+
+    @pytest.mark.parametrize("weights, message", [
+        pytest.param(lambda kA, kB: (None, None), "needs explicit varphi and theta",
+                     id="neither"),
+        pytest.param(lambda kA, kB: (np.ones(kA), None), "needs explicit varphi and theta",
+                     id="no-theta"),
+        pytest.param(lambda kA, kB: (np.ones(kA - 1), np.ones(kB)),
+                     "lengths do not match the bases", id="short-varphi"),
+        pytest.param(lambda kA, kB: (np.ones(kA), np.ones(kB + 1)),
+                     "lengths do not match the bases", id="long-theta"),
+    ])
+    def test_general_form_weights_checked(self, rng, weights, message):
+        prob, sparams = _structured_instance(rng)
+        varphi, theta = weights(sparams.basisA.k, sparams.basisB.k)
+        gen = StructuredParams(sparams.basisA, sparams.basisB, varphi=varphi, theta=theta)
+        with pytest.raises(ValueError, match=message):
+            ConditionReport(prob, CondParams(), gen).structured_general
 
     def test_random_weights_match_dense_oracle(self, rng):
         prob, sparams = _structured_instance(rng)

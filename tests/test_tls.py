@@ -98,6 +98,16 @@ class TestSolveTls:
         with pytest.raises(TlsNotGeneric):
             TlsProblem(A, b)
 
+    def test_gap_below_tolerance_rejected(self):
+        # b orthogonal to range(A) with norm (1 - 1e-12) sigma_n: sigma_tilde =
+        # ||b|| sits 1e-12 (relative) below sigma_n = 1, and A^T A -
+        # sigma_tilde^2 I still certifies (cond(F) about 2e6)
+        A = np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros((5, 3))])
+        b = np.zeros(8)
+        b[-1] = 1.0 - 1e-12
+        with pytest.raises(TlsNotGeneric, match="singular value gap too small"):
+            TlsProblem(A, b)
+
     def test_wide_rejected(self):
         with pytest.raises(ValueError):
             TlsProblem(np.eye(3), np.ones(3))

@@ -107,16 +107,14 @@ def gen_example3(n, rho, seed):
     B is a nonsymmetric random Toeplitz n x n block; p = q = n, so the
     normal matrix is (3/4) B^T B against A_p^T A_p = B^T B: the certificate
     I - W W^T is (3/4) I, and the instance is definite whenever B is
-    nonsingular.  Only A is structured; b keeps the full (unstructured)
-    basis.  Returns (problem, structured_params, planted_x, planted_r).
+    nonsingular.  Only A is structured.  Returns (problem,
+    structured_params, planted_x, planted_r).
     """
     if n < 2:
         raise ValueError("need n >= 2")
     rng = np.random.default_rng(seed)
     m = 2 * n
-    basis_a = make_basis("stacked_scaled", m, n, base_kind="toeplitz", scale=0.5)
-    basis_b = make_basis("full", m)
-    sparams = StructuredParams(basis_a, basis_b)
+    sparams = StructuredParams(make_basis("stacked_scaled", m, n, base_kind="toeplitz", scale=0.5))
     c = rng.standard_normal(n)
     row = rng.standard_normal(n)
     row[0] = c[0]
@@ -441,14 +439,20 @@ def run_experiment(config, jobs=None):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
-                # the child pickles its results or its exception and leaves
-                # through os._exit: no atexit handler, no inherited buffer flushed
+                # the child pickles before it writes, so a failed dump sends nothing,
+                # and leaves through os._exit: no atexit handler, no buffer flushed
                 try:
-                    with open(write_fd, "wb") as fh:
+                    try:
+                        payload = pickle.dumps(_run_trials(config, tasks[j::jobs]))
+                    except BaseException as exc:
                         try:
-                            pickle.dump(_run_trials(config, tasks[j::jobs]), fh)
-                        except BaseException as exc:
-                            pickle.dump(exc, fh)
+                            payload = pickle.dumps(exc)
+                            pickle.loads(payload)
+                        except Exception:  # pickle cannot send it: send its class's name
+                            payload = pickle.dumps(RuntimeError(
+                                f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}"))
+                    with open(write_fd, "wb") as fh:
+                        fh.write(payload)
                 finally:
                     os._exit(0)
             os.close(write_fd)

@@ -14,7 +14,7 @@ from . import bench, probfile
 from .estimate import SsceConfig, estimate_kappa2_pce, estimate_kappa2_ssce, \
     estimate_kappa_inf_ssce
 from .exact import CondParams, ConditionReport, kappa_2ils
-from .structured import StructuredParams, basis_from_token, make_basis
+from .structured import StructuredParams, basis_from_token
 
 
 def _add_common(parser):
@@ -77,13 +77,9 @@ def build_parser():
 
 
 def _report(problem, structure):
-    """Condition report of a loaded problem; A structured as its file says, b full."""
-    sparams = None
-    if structure:
-        sparams = StructuredParams(
-            basis_from_token(structure, problem.m, problem.n),
-            make_basis("full", problem.m),
-        )
+    """Condition report of a loaded problem, A structured as its file says."""
+    sparams = StructuredParams(basis_from_token(structure, problem.m, problem.n)) \
+        if structure else None
     return ConditionReport(problem, CondParams(), sparams)
 
 

@@ -214,21 +214,19 @@ class JacobianMg:
         """|Mg| |[vec(A); b]|, the numerator of the mixed and componentwise values."""
         return self.abs_weighted_rowsums(np.abs(self.A), np.abs(self.b))
 
-    def structured_cols(self, basis_a, basis_b):
-        """Signed products Mg * blkdiag(Phi_A, Phi_B) as (k x k1, k x k2) blocks.
+    def structured_cols(self, basis_a):
+        """Signed product Mg_A Phi_A of the A block with a basis (k x k1).
 
-        Column j of the A block sums, over the entries (i, c, v) of
-        parameter j, the rows v (w_i U[c] - x_c V[i]) of the first-order
-        map; the sums run as one segment sum over the basis entries, in
-        O(nnz k) memory with no m x k1 or n x k1 intermediate.
+        Column j sums, over the entries (i, c, v) of parameter j, the rows
+        v (w_i U[c] - x_c V[i]) of the first-order map; the sums run as one
+        segment sum over the basis entries, in O(nnz k) memory with no
+        m x k1 or n x k1 intermediate.  The b block, unstructured, is V^T.
         """
         cols, rows = np.divmod(basis_a.index, self.m)
         P = self.U[cols] * (basis_a.value * self.w[rows])[:, None]
         P -= self.V[rows] * (basis_a.value * self.x[cols])[:, None]
-        GA = np.add.reduceat(P, _segment_starts(basis_a), axis=0).T
-        P = self.V[basis_b.index] * basis_b.value[:, None]
-        GB = np.add.reduceat(P, _segment_starts(basis_b), axis=0).T
-        return GA, GB
+        starts = np.searchsorted(basis_a.param, np.arange(basis_a.k))
+        return np.add.reduceat(P, starts, axis=0).T
 
 
 class SharedJacobian:
@@ -253,11 +251,6 @@ class SharedJacobian:
         if self._explicit_jacobian[0] != key:
             self._explicit_jacobian = (key, self._build_jacobian(L))
         return self._explicit_jacobian[1]
-
-
-def _segment_starts(basis):
-    """First entry of every parameter in a basis's param-sorted entries."""
-    return np.searchsorted(basis.param, np.arange(basis.k))
 
 
 def _gram_norm(G):
@@ -349,8 +342,9 @@ class ConditionReport:
     Every field is a norm of the same first-order map Mg of L^T x, so the
     pieces the fields share are computed on first use and kept: the
     Jacobian (``problem.jacobian(L)``, which IlsProblem and TlsProblem both
-    provide), L^T x, the structure parameters (s1, s2) of the data and the
-    structured columns Mg Phi.  The numerator |Mg| |[vec(A); b]| is kept
+    provide), L^T x, the structure parameters s1 of A and the structured
+    columns Mg_A Phi_A.  b is unstructured, so its parameters are b and its
+    columns the b block V^T of Mg.  The numerator |Mg| |[vec(A); b]| is kept
     on the Jacobian itself, so every report on one problem and L shares it.
     Reading every field builds each piece once.  The structured fields need
     ``sparams`` (a StructuredParams); structured_2 needs scalar weights and
@@ -372,25 +366,23 @@ class ConditionReport:
 
     @cached_property
     def extracted(self):
-        """Structure parameters (s1, s2) of A and b; StructureMismatch if off-class."""
+        """Structure parameters s1 of A; StructureMismatch if A is off-class."""
         if self.sparams is None:
             raise ValueError("structured condition numbers need structure parameters")
-        return (self.sparams.basisA.extract(self.problem.A),
-                self.sparams.basisB.extract(self.problem.b))
+        return self.sparams.basisA.extract(self.problem.A)
 
     @cached_property
     def structured_cols(self):
-        """Signed blocks (Mg_A Phi_A, Mg_b Phi_B), built after the data is checked."""
+        """Signed block Mg_A Phi_A, built after the data is checked."""
         self.extracted  # the data is checked before the map is built
-        return self.jac.structured_cols(self.sparams.basisA, self.sparams.basisB)
+        return self.jac.structured_cols(self.sparams.basisA)
 
     def structured_numerator(self, phi, theta):
-        GA, GB = self.structured_cols
-        return np.abs(GA) @ np.abs(phi) + np.abs(GB) @ np.abs(theta)
+        return np.abs(self.structured_cols) @ np.abs(phi) + np.abs(self.jac.V.T) @ np.abs(theta)
 
     @cached_property
     def data_structured_numerator(self):
-        return self.structured_numerator(*self.extracted)
+        return self.structured_numerator(self.extracted, self.problem.b)
 
     @cached_property
     def mixed(self):
@@ -404,10 +396,9 @@ class ConditionReport:
 
     @cached_property
     def structured_2(self):
-        """||F||_2 / xi via F F^T, F = [psi Mg_A Phi_A / d_A, beta Mg_b Phi_B / d_B]."""
+        """||F||_2 / xi via F F^T, F = [psi Mg_A Phi_A / d_A, beta Mg_b]."""
         psi, beta, xi = self.params.scalars()
-        GA, GB = self.structured_cols
-        F = np.hstack([psi * GA / self.sparams.basisA.d, beta * GB / self.sparams.basisB.d])
+        F = np.hstack([psi * self.structured_cols / self.sparams.basisA.d, beta * self.jac.V.T])
         return _gram_norm(F @ F.T) / xi
 
     @cached_property
@@ -429,7 +420,7 @@ class ConditionReport:
             raise ValueError("general form needs explicit varphi and theta")
         phi = np.asarray(sp.varphi, dtype=float).ravel()
         theta = np.asarray(sp.theta, dtype=float).ravel()
-        if phi.size != sp.basisA.k or theta.size != sp.basisB.k:
+        if phi.size != sp.basisA.k or theta.size != self.jac.m:
             raise ValueError("varphi/theta lengths do not match the bases")
         num = self.structured_numerator(phi, theta)
         return componentwise_ratio(num, self.params.weights("xi", (self.jac.k,)))

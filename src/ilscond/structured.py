@@ -2,7 +2,9 @@
 
 A structure basis is the fixed matrix Phi mapping the independent parameters
 of a matrix class (Toeplitz, Hankel, symmetric, stacked scaled copies) to its
-vectorization.  For every supported kind the columns of Phi have disjoint
+vectorization.  Only A is structured: b keeps the identity basis, so its
+parameters are b itself and its structured columns are the b block of the
+first-order map.  For every supported kind the columns of Phi have disjoint
 supports, hence Phi^T Phi = diag(d^2) with d the column norms.  Phi is kept
 as three flat entry arrays (param, index, value), one entry per nonzero and
 sorted by parameter, so embedding, extraction and the structured columns are
@@ -10,12 +12,12 @@ single scatters, bincounts and segment sums; dense copies exist only for
 diagnostics.
 
 The structured condition numbers are fields of exact.ConditionReport, which
-extracts the data parameters and builds the structured columns Mg Phi once
+extracts the parameters of A and builds the structured columns Mg_A Phi once
 for all flavours; the kappa_*_structured functions here each read one field
 of a fresh report.
 """
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .exact import ConditionReport
 from .kron import vec
 
 MATRIX_KINDS = ("toeplitz", "hankel", "symmetric", "stacked_scaled", "full")
-VECTOR_KINDS = ("full",)
 EXTRACT_TOL = 1e-12  # largest relative projection residual extract() accepts
 
 
@@ -50,12 +51,10 @@ class StructureBasis:
         self.index = np.asarray(index, dtype=np.intp)[order]
         self.value = np.asarray(value, dtype=float)[order]
         self.size = int(np.prod(self.shape))
-        self.d = np.sqrt(np.bincount(self.param, weights=self.value**2))
+        # sums of value / c, c a power of two, scale exactly and keep d^2 finite
+        self._c = np.ldexp(1.0, np.frexp(np.max(np.abs(self.value)))[1])
+        self.d = self._c * np.sqrt(np.bincount(self.param, weights=(self.value / self._c)**2))
         self.k = self.d.size
-
-    @property
-    def is_matrix(self):
-        return len(self.shape) == 2
 
     def _scatter(self, s):
         # vec(Phi s): disjoint supports make each entry a single product
@@ -63,14 +62,11 @@ class StructureBasis:
                            minlength=self.size)
 
     def embed(self, s):
-        """Assemble the structured data from its parameter vector."""
+        """Assemble the structured matrix from its parameter vector."""
         s = np.asarray(s, dtype=float).ravel()
         if s.size != self.k:
             raise ValueError(f"parameter vector has length {s.size}, expected {self.k}")
-        out = self._scatter(s)
-        if self.is_matrix:
-            return out.reshape(self.shape, order="F")
-        return out
+        return self._scatter(s).reshape(self.shape, order="F")
 
     def extract(self, data):
         """Recover the parameter vector of structured data.
@@ -78,31 +74,22 @@ class StructureBasis:
         Uses the orthogonal projection s = diag(d^2)^{-1} Phi^T vec(data),
         exact for genuinely structured input.  Raises StructureMismatch when
         the projection residual exceeds EXTRACT_TOL relative to the Frobenius
-        norm, naming the worst-offending entry.
+        norm, taken as max |v| ||v / max |v||| so that it cannot overflow at
+        any data scale, naming the worst-offending entry; zero data passes.
         """
         data = np.asarray(data, dtype=float)
-        if self.is_matrix:
-            if data.shape != self.shape:
-                raise ValueError(f"data shape {data.shape}, expected {self.shape}")
-            v = vec(data)
-        else:
-            v = data.ravel()
-            if v.size != self.size:
-                raise ValueError(f"data length {v.size}, expected {self.size}")
-        s = np.bincount(self.param, weights=self.value * v[self.index],
-                        minlength=self.k) / self.d**2
+        if data.shape != self.shape:
+            raise ValueError(f"data shape {data.shape}, expected {self.shape}")
+        v = vec(data)
+        s = np.bincount(self.param, weights=self.value / self._c * v[self.index],
+                        minlength=self.k) / (self.d / self._c)**2 / self._c
         resid = v - self._scatter(s)
-        scale = max(np.linalg.norm(v), 1.0)
         worst = int(np.argmax(np.abs(resid)))
-        if np.abs(resid[worst]) > EXTRACT_TOL * scale:
-            if self.is_matrix:
-                i, j = worst % self.shape[0], worst // self.shape[0]
-                where = f"entry ({i}, {j})"
-            else:
-                where = f"entry {worst}"
-            raise StructureMismatch(
-                f"data is not {self.kind}-structured: {where} deviates by {resid[worst]:.3e}"
-            )
+        top = np.max(np.abs(v))
+        if top > 0 and np.abs(resid[worst]) > EXTRACT_TOL * top * np.linalg.norm(v / top):
+            i, j = worst % self.shape[0], worst // self.shape[0]
+            raise StructureMismatch(f"data is not {self.kind}-structured: "
+                                    f"entry ({i}, {j}) deviates by {resid[worst]:.3e}")
         return s
 
     def dense(self):
@@ -130,25 +117,20 @@ def _grid_param(kind, m, n):
     return jj * m + ii
 
 
-def make_basis(kind, m, n=None, base_kind="toeplitz", scale=0.5):
-    """Build a structure basis.
+def make_basis(kind, m, n, base_kind="toeplitz", scale=0.5):
+    """Build the structure basis of an m x n matrix.
 
     Parameters
     ----------
     kind : str
-        One of 'toeplitz', 'hankel', 'symmetric', 'stacked_scaled', 'full'
-        for matrices (n given), or 'full' for vectors (n omitted).
+        One of 'toeplitz', 'hankel', 'symmetric', 'stacked_scaled', 'full'.
     m, n : int
-        Data dimensions; for 'stacked_scaled' m counts the rows of the full
+        Matrix dimensions; for 'stacked_scaled' m counts the rows of the full
         stacked matrix [B; scale * B] and must be even.
     base_kind, scale : str, float
         Only for 'stacked_scaled': the structure of the repeated block and
-        the multiplier of the second copy.
+        the finite multiplier of the second copy.
     """
-    if n is None:
-        if kind not in VECTOR_KINDS:
-            raise ValueError(f"unsupported vector structure kind {kind!r}")
-        return StructureBasis("full", (m,), np.arange(m), np.arange(m), np.ones(m))
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unsupported structure kind {kind!r}")
     if kind == "symmetric" and m != n:
@@ -158,6 +140,8 @@ def make_basis(kind, m, n=None, base_kind="toeplitz", scale=0.5):
                               np.arange(m * n), np.ones(m * n))
     if m % 2 != 0:
         raise ValueError("stacked_scaled needs an even row count")
+    if not np.isfinite(scale):
+        raise ValueError(f"stacked_scaled needs a finite scale, got {scale!r}")
     mb = m // 2
     base = make_basis(base_kind, mb, n)
     jj, ii = np.divmod(base.index, mb)
@@ -171,25 +155,34 @@ def make_basis(kind, m, n=None, base_kind="toeplitz", scale=0.5):
 
 
 def basis_from_token(token, m, n):
-    """Parse a structure kind token such as 'toeplitz' or 'stacked_scaled:toeplitz:0.5'."""
-    parts = token.split(":")
-    if parts[0] == "stacked_scaled":
-        base = parts[1] if len(parts) > 1 else "toeplitz"
-        scale = float(parts[2]) if len(parts) > 2 else 0.5
-        return make_basis("stacked_scaled", m, n, base_kind=base, scale=scale)
-    return make_basis(parts[0], m, n)
+    """The basis whose ``kind`` is token: a matrix kind other than 'stacked_scaled',
+    or 'stacked_scaled:<such a kind>:<finite scale>'; else a ValueError naming it."""
+    kind, *rest = token.split(":")
+    blocks = [k for k in MATRIX_KINDS if k != "stacked_scaled"]
+    if kind in blocks and not rest:
+        return make_basis(kind, m, n)
+    if kind == "stacked_scaled" and len(rest) == 2 and rest[0] in blocks:
+        try:
+            scale = float(rest[1])
+        except ValueError:
+            scale = np.nan
+        if np.isfinite(scale):
+            return make_basis(kind, m, n, base_kind=rest[0], scale=scale)
+    raise ValueError(f"unsupported structure token {token!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class StructuredParams:
-    """Structure bases for A and b plus the effective weight parameters.
+    """Structure basis of A plus the weights of the general form.
 
-    varphi and theta default to the extracted data parameters s1 and s2,
-    which is the choice the mixed and componentwise forms require.
+    b is not structured: its basis is the identity, so its parameters are
+    the entries of b.  The keyword-only varphi (one weight per parameter of
+    A) and theta (one per entry of b) default to the data's own parameters
+    s1 and b, which is the choice the mixed and componentwise forms require.
     """
 
     basisA: StructureBasis
-    basisB: StructureBasis
+    _: KW_ONLY
     varphi: np.ndarray | None = None
     theta: np.ndarray | None = None
 

@@ -256,7 +256,7 @@ def test_criterion_7_tls_suite():
         except TlsNotGeneric:
             continue
         structured_checked += 1
-        sparams = StructuredParams(basis, make_basis("full", m))
+        sparams = StructuredParams(basis)
         report = ConditionReport(tls, CondParams(), sparams)
         tol = 1 + 1e-12
         ok = ok and report.structured_2 <= kappa_2tls(tls) * tol

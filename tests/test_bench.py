@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 import warnings
 from dataclasses import fields
@@ -351,6 +352,13 @@ def four_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
 
 
+class TwoArgumentError(RuntimeError):
+    """Pickles, but pickle cannot rebuild it from its one-element args."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
 def in_child_only(monkeypatch, act):
     """Patch _run_trial to call act() in forked workers and run normally here."""
     parent, original = os.getpid(), bench._run_trial
@@ -404,6 +412,25 @@ class TestParallelTrials:
         in_child_only(monkeypatch, fail)
         with pytest.raises(RuntimeError, match="trial failed in a worker"):
             run_experiment(tiny_config("ex1"), jobs=2)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("local", [True, False], ids=["local-class", "two-argument-init"])
+    def test_worker_exception_pickle_cannot_send(self, monkeypatch, four_cpus, jobs, local):
+        # the parent raised EOFError (an empty pipe) or, unpickling, TypeError
+        class LocalError(RuntimeError):
+            pass
+
+        def fail():
+            if local:
+                raise LocalError("trial failed in a worker")
+            raise TwoArgumentError("trial failed", "a worker")
+
+        cls = LocalError if local else TwoArgumentError
+        in_child_only(monkeypatch, fail)
+        message = f"{cls.__module__}.{cls.__qualname__}: trial failed in a worker"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            run_experiment(table3_config(n=6, trials=3, rho_grid=(1.0,)), jobs=jobs)
         assert_no_child_left()
 
     def test_worker_warning_as_error_reaches_parent(self, monkeypatch, four_cpus):
@@ -547,6 +574,23 @@ class TestCli:
         assert capsys.readouterr().out.startswith(
             "structure: stacked_scaled:toeplitz:0.3333333333333333\n")
 
+    @pytest.mark.parametrize("command", ["exact", "compare"])
+    @pytest.mark.parametrize("token", ["toeplitz:junk", "full:junk", "stacked_scaled:toeplitz",
+                                       "stacked_scaled:toeplitz:nan"])
+    def test_malformed_structure_token(self, tmp_path, capsys, rng, command, token):
+        # Toeplitz data, which the old parser read as toeplitz or full for the
+        # first two tokens, and which a nan scale sent into LAPACK
+        basis = make_basis("toeplitz", 12, 6)
+        prob = IlsProblem(basis.embed(rng.standard_normal(basis.k)), rng.standard_normal(12),
+                          SignatureSplit(12, 0))
+        pfile = str(tmp_path / "s.txt")
+        save_problem(pfile, prob, structure=token)
+        assert cli_main([command, pfile]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"ilscond {command}: error: unsupported structure token {token!r}"]
+
     def test_compare_requires_structure(self, tmp_path, capsys, rng):
         prob, _, _ = gen_example1(10, 4, 6, 1, 1.0, rng)
         pfile = str(tmp_path / "u.txt")
@@ -565,8 +609,7 @@ class TestCliStdout:
         problem, structure = load_problem(pfile)
         sparams = None
         if structure:
-            sparams = StructuredParams(basis_from_token(structure, problem.m, problem.n),
-                                       make_basis("full", problem.m))
+            sparams = StructuredParams(basis_from_token(structure, problem.m, problem.n))
         return pfile, problem, structure, ConditionReport(problem, CondParams(), sparams)
 
     @staticmethod

@@ -55,9 +55,8 @@ def svd_kappa2(problem, params):
 def structured_f(report):
     """The k x (k1 + k2) matrix F whose spectral norm over xi is structured_2."""
     psi, beta, _ = report.params.scalars()
-    GA, GB = report.structured_cols
-    sp = report.sparams
-    return np.hstack([psi * GA / sp.basisA.d, beta * GB / sp.basisB.d])
+    return np.hstack([psi * report.structured_cols / report.sparams.basisA.d,
+                      beta * report.jac.V.T])
 
 
 class TestKappa2ilsAgainstSvd:

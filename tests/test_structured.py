@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -100,22 +102,40 @@ class TestBases:
             make_basis("circulant", 4, 4)
         with pytest.raises(ValueError):
             make_basis("symmetric", 3, 4)
-        with pytest.raises(ValueError):
-            make_basis("toeplitz", 5)  # vector data has no toeplitz structure
 
     @pytest.mark.parametrize("call, message", [
         pytest.param(lambda: make_basis("toeplitz", 4, 3).embed(np.ones(5)),
                      "parameter vector has length 5, expected 6", id="embed-length"),
         pytest.param(lambda: make_basis("toeplitz", 4, 3).extract(np.ones((3, 4))),
                      r"data shape \(3, 4\), expected \(4, 3\)", id="extract-shape"),
-        pytest.param(lambda: make_basis("full", 4).extract(np.ones(5)),
-                     "data length 5, expected 4", id="extract-length"),
         pytest.param(lambda: make_basis("stacked_scaled", 5, 3),
                      "stacked_scaled needs an even row count", id="stacked-odd-rows"),
     ])
     def test_wrong_size_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="stacked_scaled needs a finite scale"):
+            make_basis("stacked_scaled", 8, 4, scale=scale)
+
+    def test_huge_scale_keeps_its_own_data(self):
+        # |scale| above 1.3e154 overflowed the squared column norms
+        basis = make_basis("stacked_scaled", 8, 4, scale=1e200)
+        assert np.all(np.isfinite(basis.d))
+        s = 1e-200 * np.arange(1.0, basis.k + 1)
+        np.testing.assert_allclose(basis.extract(basis.embed(s)), s, rtol=1e-14)
+
+    @pytest.mark.parametrize("token", [
+        "toeplitz:junk", "full:junk", "circulant", "stacked_scaled", "stacked_scaled:toeplitz",
+        "stacked_scaled:toeplitz:nan", "stacked_scaled:toeplitz:inf",
+        "stacked_scaled:toeplitz:junk", "stacked_scaled:circulant:0.5",
+        "stacked_scaled:stacked_scaled:0.5", "stacked_scaled:toeplitz:0.5:1",
+    ])
+    def test_malformed_token_named(self, token):
+        with pytest.raises(ValueError, match=f"unsupported structure token {token!r}$"):
+            basis_from_token(token, 8, 4)
 
     def test_token_roundtrip(self):
         # a scale's repr round-trips, so the kind names its basis exactly
@@ -133,17 +153,28 @@ class TestExtract:
         np.testing.assert_allclose(basis.extract(A), s, rtol=1e-14)
         np.testing.assert_allclose(basis.embed(basis.extract(A)), A, rtol=1e-14, atol=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1e-200, 1e200])
+    def test_off_class_data_rejected_at_any_scale(self, rng, scale):
+        # the old tolerance was absolute below norm 1, and the norm overflowed at 1e200
+        basis = make_basis("toeplitz", 4, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructureMismatch):
+                basis.extract(scale * rng.standard_normal((4, 3)))
+
+    @pytest.mark.parametrize("power", [-1000, 1000])
+    def test_structured_data_accepted_at_any_scale(self, rng, power):
+        basis = make_basis("toeplitz", 4, 3)
+        s = 2.0**power * rng.standard_normal(basis.k)
+        np.testing.assert_allclose(basis.extract(basis.embed(s)), s, rtol=1e-14)
+        np.testing.assert_array_equal(basis.extract(np.zeros((4, 3))), np.zeros(basis.k))
+
     def test_violation_detected_and_named(self, rng):
         basis = make_basis("toeplitz", 5, 5)
         A = basis.embed(rng.standard_normal(basis.k))
         A[2, 1] += 1.0
         with pytest.raises(StructureMismatch, match="entry"):
             basis.extract(A)
-
-    def test_full_vector_identity(self, rng):
-        basis = make_basis("full", 7)
-        v = rng.standard_normal(7)
-        np.testing.assert_array_equal(basis.extract(v), v)
 
 
 def _structured_instance(rng, n=8):
@@ -154,18 +185,14 @@ def _structured_instance(rng, n=8):
 def _dense_blkdiag_oracle(prob, sparams, L=None):
     mg = dense_mg_oracle(prob, L)
     mn = prob.m * prob.n
-    phi1 = sparams.basisA.dense()
-    phi2 = sparams.basisB.dense()
-    return mg[:, :mn] @ phi1, mg[:, mn:] @ phi2
+    return mg[:, :mn] @ sparams.basisA.dense(), mg[:, mn:]
 
 
 class TestStructuredKappas:
     def test_full_basis_reduces_to_unstructured(self, rng):
         prob = random_ils(rng, m=8, n=4)
         params = CondParams()
-        sparams = StructuredParams(
-            make_basis("full", prob.m, prob.n), make_basis("full", prob.m)
-        )
+        sparams = StructuredParams(make_basis("full", prob.m, prob.n))
         assert rel_err(
             kappa_2ils_structured(prob, params, sparams), kappa_2ils(prob, params)
         ) <= 1e-12
@@ -195,7 +222,7 @@ class TestStructuredKappas:
         prob, sparams = _structured_instance(rng)
         params = CondParams(psi=1.2, beta=0.8, xi=1.5)
         GA, GB = _dense_blkdiag_oracle(prob, sparams)
-        G = np.hstack([1.2 * GA / sparams.basisA.d, 0.8 * GB / sparams.basisB.d])
+        G = np.hstack([1.2 * GA / sparams.basisA.d, 0.8 * GB])
         expected = np.linalg.norm(G, 2) / 1.5
         assert rel_err(
             kappa_2ils_structured(prob, params, sparams), expected
@@ -206,8 +233,7 @@ class TestStructuredKappas:
         params = CondParams()
         GA, GB = _dense_blkdiag_oracle(prob, sparams)
         s1 = sparams.basisA.extract(prob.A)
-        s2 = sparams.basisB.extract(prob.b)
-        num = np.abs(GA) @ np.abs(s1) + np.abs(GB) @ np.abs(s2)
+        num = np.abs(GA) @ np.abs(s1) + np.abs(GB) @ np.abs(prob.b)
         x = prob.solution.x
         exp_m = num.max() / np.abs(x).max()
         exp_c = np.max(np.abs(entrywise_div(num, np.abs(x))))
@@ -218,9 +244,7 @@ class TestStructuredKappas:
 
     def test_structure_mismatch_rejected(self, rng):
         prob = random_ils(rng, m=8, n=4)
-        sparams = StructuredParams(
-            make_basis("toeplitz", prob.m, prob.n), make_basis("full", prob.m)
-        )
+        sparams = StructuredParams(make_basis("toeplitz", prob.m, prob.n))
         with pytest.raises(StructureMismatch):
             kappa_2ils_structured(prob, CondParams(), sparams)
 
@@ -233,7 +257,7 @@ class TestStructuredKappas:
         b = rng.standard_normal(m)
         prob = IlsProblem(A, b, SignatureSplit(m, 0))
         params = CondParams()
-        sparams = StructuredParams(basis, make_basis("full", m))
+        sparams = StructuredParams(basis)
 
         x, *_ = np.linalg.lstsq(A, b, rcond=None)
         r = b - A @ x
@@ -258,9 +282,8 @@ class TestStructuredGeneral:
     def test_specializes_to_mixed(self, rng):
         prob, sparams = _structured_instance(rng)
         s1 = sparams.basisA.extract(prob.A)
-        s2 = sparams.basisB.extract(prob.b)
         x = prob.solution.x
-        gen = StructuredParams(sparams.basisA, sparams.basisB, varphi=s1, theta=s2)
+        gen = StructuredParams(sparams.basisA, varphi=s1, theta=prob.b)
         params = CondParams(xi=np.full(prob.n, np.abs(x).max()))
         assert rel_err(
             ConditionReport(prob, params, gen).structured_general,
@@ -271,9 +294,8 @@ class TestStructuredGeneral:
         prob, sparams = _structured_instance(rng)
         gen = StructuredParams(
             sparams.basisA,
-            sparams.basisB,
             varphi=np.zeros(sparams.basisA.k),
-            theta=sparams.basisB.extract(prob.b),
+            theta=prob.b,
         )
         GA, GB = _dense_blkdiag_oracle(prob, sparams)
         expected = np.max(np.abs(GB) @ np.abs(prob.b))
@@ -282,29 +304,29 @@ class TestStructuredGeneral:
         ) <= 1e-12
 
     @pytest.mark.parametrize("weights, message", [
-        pytest.param(lambda kA, kB: (None, None), "needs explicit varphi and theta",
+        pytest.param(lambda kA, m: (None, None), "needs explicit varphi and theta",
                      id="neither"),
-        pytest.param(lambda kA, kB: (np.ones(kA), None), "needs explicit varphi and theta",
+        pytest.param(lambda kA, m: (np.ones(kA), None), "needs explicit varphi and theta",
                      id="no-theta"),
-        pytest.param(lambda kA, kB: (np.ones(kA - 1), np.ones(kB)),
+        pytest.param(lambda kA, m: (np.ones(kA - 1), np.ones(m)),
                      "lengths do not match the bases", id="short-varphi"),
-        pytest.param(lambda kA, kB: (np.ones(kA), np.ones(kB + 1)),
+        pytest.param(lambda kA, m: (np.ones(kA), np.ones(m + 1)),
                      "lengths do not match the bases", id="long-theta"),
     ])
     def test_general_form_weights_checked(self, rng, weights, message):
         prob, sparams = _structured_instance(rng)
-        varphi, theta = weights(sparams.basisA.k, sparams.basisB.k)
-        gen = StructuredParams(sparams.basisA, sparams.basisB, varphi=varphi, theta=theta)
+        varphi, theta = weights(sparams.basisA.k, prob.m)
+        gen = StructuredParams(sparams.basisA, varphi=varphi, theta=theta)
         with pytest.raises(ValueError, match=message):
             ConditionReport(prob, CondParams(), gen).structured_general
 
     def test_random_weights_match_dense_oracle(self, rng):
         prob, sparams = _structured_instance(rng)
         phi = rng.standard_normal(sparams.basisA.k)
-        theta = rng.standard_normal(sparams.basisB.k)
+        theta = rng.standard_normal(prob.m)
         xi = rng.standard_normal(prob.n)
         xi[0] = 0.0  # exercise the 0^ddagger rule
-        gen = StructuredParams(sparams.basisA, sparams.basisB, varphi=phi, theta=theta)
+        gen = StructuredParams(sparams.basisA, varphi=phi, theta=theta)
         GA, GB = _dense_blkdiag_oracle(prob, sparams)
         num = np.abs(GA) @ np.abs(phi) + np.abs(GB) @ np.abs(theta)
         expected = np.max(np.abs(num * ddagger(np.abs(xi))))

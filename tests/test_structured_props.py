@@ -1,7 +1,8 @@
 """Property tests of the flat-entry structure bases and the structured columns.
 
 Every kind is drawn at random shapes up to 12 x 12; the example count and
-the deadline come from the hypothesis profile selected in conftest.py.
+the deadline come from the hypothesis profile selected in conftest.py.  The
+structured values are also checked to be free of the data's scale.
 """
 
 import numpy as np
@@ -15,23 +16,25 @@ from ilscond import (
     NotPositiveDefinite,
     SignatureSplit,
     StructuredParams,
+    TlsNotGeneric,
+    TlsProblem,
     kappa_2ils,
     make_basis,
 )
+from ilscond.bench import gen_example3
 from ilscond.exact import JacobianMg
 from ilscond.kron import vec
 from ilscond.structured import MATRIX_KINDS
 
 SEEDS = st.integers(0, 2**32 - 1)
+POWERS = st.integers(-60, 60)
 
 
 @st.composite
 def bases(draw, max_dim=12):
-    """A matrix structure basis of any kind, or the full vector basis."""
-    kind = draw(st.sampled_from(MATRIX_KINDS + ("vector",)))
+    """A matrix structure basis of any kind."""
+    kind = draw(st.sampled_from(MATRIX_KINDS))
     n = draw(st.integers(1, max_dim))
-    if kind == "vector":
-        return make_basis("full", n)
     if kind == "symmetric":
         return make_basis(kind, n, n)
     if kind == "stacked_scaled":
@@ -42,13 +45,11 @@ def bases(draw, max_dim=12):
     return make_basis(kind, draw(st.integers(1, max_dim)), n)
 
 
-def _blkdiag_reference(jac, basis_a, basis_b):
-    """Dense products Mg Phi and the sums of absolute terms they round."""
-    mg = jac.dense()
-    mn = jac.m * jac.n
-    pa, pb = basis_a.dense(), basis_b.dense()
-    return ((mg[:, :mn] @ pa, np.abs(mg[:, :mn]) @ np.abs(pa)),
-            (mg[:, mn:] @ pb, np.abs(mg[:, mn:]) @ np.abs(pb)))
+def _blkdiag_reference(jac, basis_a):
+    """Dense products Mg_A Phi_A and the sums of absolute terms they round."""
+    mg = jac.dense()[:, :jac.m * jac.n]
+    pa = basis_a.dense()
+    return mg @ pa, np.abs(mg) @ np.abs(pa)
 
 
 @given(bases())
@@ -73,23 +74,20 @@ def test_extract_inverts_embed(basis, seed):
 
 @given(bases(), SEEDS, st.integers(1, 6))
 def test_structured_cols_match_dense_product(basis_a, seed, k):
-    assume(basis_a.is_matrix)
     m, n = basis_a.shape
     rng = np.random.default_rng(seed)
     jac = JacobianMg(rng.standard_normal(m), rng.standard_normal((n, k)),
                      rng.standard_normal((m, k)), rng.standard_normal(n),
                      np.zeros((m, n)), np.zeros(m))
-    basis_b = make_basis("full", m)
-    GA, GB = jac.structured_cols(basis_a, basis_b)
-    (refA, boundA), (refB, boundB) = _blkdiag_reference(jac, basis_a, basis_b)
-    assert GA.shape == (k, basis_a.k) and GB.shape == (k, m)
+    GA = jac.structured_cols(basis_a)
+    refA, boundA = _blkdiag_reference(jac, basis_a)
+    assert GA.shape == (k, basis_a.k)
     assert np.all(np.abs(GA - refA) <= 1e-13 * boundA)
-    assert np.all(np.abs(GB - refB) <= 1e-13 * boundB)
 
 
 @given(bases(max_dim=8), SEEDS, st.floats(0.25, 4.0), st.floats(0.25, 4.0))
 def test_structured_never_exceeds_unstructured(basis_a, seed, psi, beta):
-    assume(basis_a.is_matrix and basis_a.shape[0] >= basis_a.shape[1])
+    assume(basis_a.shape[0] >= basis_a.shape[1])
     m, n = basis_a.shape
     rng = np.random.default_rng(seed)
     A = basis_a.embed(rng.standard_normal(basis_a.k))
@@ -101,9 +99,45 @@ def test_structured_never_exceeds_unstructured(basis_a, seed, psi, beta):
         assume(False)
     params = CondParams(psi=psi, beta=beta)
     report = ConditionReport(problem, params,
-                             StructuredParams(basis_a, make_basis("full", m)))
+                             StructuredParams(basis_a))
     tol = 1 + 1e-12
     assert report.structured_2 <= kappa_2ils(problem, params) * tol
     assert report.structured_mixed <= report.mixed * tol
     assert report.structured_componentwise <= report.componentwise * tol
 
+
+
+def _assert_scale_free(problem, scaled, sparams, s):
+    """Structured values of problem and of its data scaled by s: 1/s times the
+    2-norm value, the same mixed and componentwise values."""
+    tol = 10 * problem.n * np.finfo(float).eps * np.linalg.cond(problem.A)
+    rep, rep_s = (ConditionReport(p, CondParams(), sparams) for p in (problem, scaled))
+    for got, want in [(s * rep_s.structured_2, rep.structured_2),
+                      (rep_s.structured_mixed, rep.structured_mixed),
+                      (rep_s.structured_componentwise, rep.structured_componentwise)]:
+        assert abs(got - want) <= tol * abs(want)
+
+
+@given(POWERS, SEEDS, st.integers(2, 8), st.sampled_from((1e-4, 1.0, 1e4)))
+def test_structured_ils_values_scale_free(power, seed, n, rho):
+    try:
+        problem, sparams, _, _ = gen_example3(n, rho, seed)
+    except NotPositiveDefinite:
+        assume(False)
+    s = 2.0**power
+    scaled = IlsProblem(s * problem.A, s * problem.b, SignatureSplit(n, n))
+    _assert_scale_free(problem, scaled, sparams, s)
+
+
+@given(POWERS, SEEDS)
+def test_structured_tls_values_scale_free(power, seed):
+    rng = np.random.default_rng(seed)
+    basis = make_basis("toeplitz", 9, 4)
+    A = basis.embed(rng.standard_normal(basis.k))
+    b = A @ rng.standard_normal(4) + 0.3 * rng.standard_normal(9)
+    s = 2.0**power
+    try:
+        problem, scaled = TlsProblem(A, b), TlsProblem(s * A, s * b)
+    except TlsNotGeneric:
+        assume(False)
+    _assert_scale_free(problem, scaled, StructuredParams(basis), s)

@@ -7,16 +7,20 @@ Usage: OPENBLAS_NUM_THREADS=1 python3 scripts/bench_tables.py [--repeats R]
 Run from the root of a checkout.  Every run is a fresh ``python -m ilscond.cli``
 process with ``src`` on its PYTHONPATH and otherwise the caller's environment,
 timed from start to exit, so the BLAS thread variables recorded are the ones
-the runs saw; ``total_time_s`` is the sweep alone, as the table prints it.  Each (table, size, jobs) runs R times (default 3), alternating
-the job counts, at seed 42; a row keeps every time and their median.  Every
-run writes its CSV, and the script exits 1 when a CSV differs from the first
-run of its table and size, whatever the job count.
+the runs saw; ``total_time_s`` is the sweep alone, as the table prints it, and
+``minor_faults`` the minor page faults of the process and its workers (the
+RUSAGE_CHILDREN delta across the run), imports included.  Each (table, size,
+jobs) runs R times (default 3), alternating the job counts, at seed 42; a row
+keeps every time and their median.  Every run writes its CSV, and the script
+exits 1 when a CSV differs from the first run of its table and size, whatever
+the job count.
 """
 
 import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -63,12 +67,14 @@ def run_table(table, full, jobs, out):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + env["PYTHONPATH"]
                                              if env.get("PYTHONPATH") else "")
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     t0 = time.perf_counter()
     proc = subprocess.run(argv, env=env, check=True, capture_output=True, text=True)
     wall = time.perf_counter() - t0
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     # the table's last line: "total time: 1.2 s (2 processes)"
     last = proc.stdout.split("total time: ")[-1]
-    return wall, float(last.split()[0])
+    return wall, float(last.split()[0]), faults
 
 
 def main():
@@ -84,14 +90,16 @@ def main():
                 size = {k: config[k] for k in ("m", "n", "p", "trials", "kappa_grid", "rho_grid")}
                 times = {jobs: [] for jobs in JOBS}
                 sweeps = {jobs: [] for jobs in JOBS}
+                faults = {jobs: [] for jobs in JOBS}
                 reference, same = None, True
                 for rep in range(args.repeats):
                     order = JOBS if rep % 2 == 0 else JOBS[::-1]
                     for jobs in order:
                         out = Path(tmp) / f"{table}-{jobs}.csv"
-                        wall, sweep = run_table(table, full, jobs, out)
+                        wall, sweep, minflt = run_table(table, full, jobs, out)
                         times[jobs].append(wall)
                         sweeps[jobs].append(sweep)
+                        faults[jobs].append(minflt)
                         data = out.read_bytes()
                         reference = reference or data
                         same &= data == reference
@@ -102,7 +110,8 @@ def main():
                     rows.append({"table": table, "size": "full" if full else "desk",
                                  "jobs": jobs, "wall_s": [round(t, 3) for t in times[jobs]],
                                  "median_s": round(median[jobs], 3),
-                                 "total_time_s": sweeps[jobs], **size})
+                                 "total_time_s": sweeps[jobs],
+                                 "minor_faults": faults[jobs], **size})
                 speedups.append({"table": table, "size": "full" if full else "desk",
                                  "speedup_jobs2": round(median[1] / median[2], 3),
                                  "csv_identical": same})

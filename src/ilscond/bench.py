@@ -9,6 +9,7 @@ deterministic CSV/JSON plus a printed summary table.
 """
 
 import csv
+import ctypes
 import io
 import json
 import os
@@ -280,8 +281,10 @@ class ExperimentResult:
 
     def cell_stats(self, kappa_label, rho):
         """Mean, variance and max of every ratio in one grid cell."""
-        recs = [rec for rec in self.records
-                if rec.kappa_label == kappa_label and rec.rho == rho]
+        return self._stats([rec for rec in self.records
+                            if rec.kappa_label == kappa_label and rec.rho == rho])
+
+    def _stats(self, recs):
         stats = {}
         for name in RATIO_NAMES[self.config.example]:
             vals = np.array([rec.values[name] for rec in recs])
@@ -334,13 +337,16 @@ class ExperimentResult:
         cfg = self.config
         out = io.StringIO()
         ratios = RATIO_NAMES[cfg.example]
+        by_cell = {}
+        for rec in self.records:
+            by_cell.setdefault((rec.kappa_label, rec.rho), []).append(rec)
+        stats = {cell: self._stats(by_cell.get(cell, [])) for cell in cfg.cells()}
         if cfg.example == "ex3":
             header = ["ratio", "stat"] + [f"rho={rho:g}" for rho in cfg.rho_grid]
             rows = []
             for name in ratios:
                 for stat in ("mean", "max"):
-                    cells = [self.cell_stats(None, rho)[name][stat]
-                             for rho in cfg.rho_grid]
+                    cells = [stats[None, rho][name][stat] for rho in cfg.rho_grid]
                     rows.append([name, stat] + [f"{v:.4f}" for v in cells])
             _write_aligned(out, header, rows)
         else:
@@ -354,7 +360,7 @@ class ExperimentResult:
                 for name in ratios:
                     cells = []
                     for kap in cfg.kappa_grid:
-                        st = self.cell_stats(kap, rho)[name]
+                        st = stats[kap, rho][name]
                         cells.append(f"{st['mean']:.3e} {st['var']:.3e}")
                     rows.append([f"{rho:g}", name] + cells)
             _write_aligned(out, header, rows)
@@ -412,6 +418,38 @@ def _warning_category(name, cls=Warning):
                               for sub in reversed(cls.__subclasses__()))), None)
 
 
+# glibc's mallopt parameters (malloc.h) and the values run_experiment sets.
+# At glibc's dynamic thresholds an ex1 trial at 200 x 120 frees ~1.1 MB of
+# live arrays, past the ~1 MB trim threshold, so the heap went back to the
+# kernel after every trial and the next trial faulted it in again: 460-487
+# minor faults, 0.7-0.9 ms of a 3.4 ms trial (2-core Xeon VM, one BLAS
+# thread).  Any mallopt call turns the dynamic mmap threshold off, so both
+# are set.  32 MiB is the ceiling of the dynamic mmap threshold on 64-bit,
+# so trial arrays stay on the heap; up to 64 MiB of free heap top stays
+# mapped before glibc trims it.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+def _retain_heap():
+    """On glibc, keep freed heap in this process between trials; elsewhere nothing."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):  # no confstr, or not a GNU libc
+        return
+    if not libc.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for name, param, value in (("M_MMAP_THRESHOLD", _M_MMAP_THRESHOLD, MMAP_THRESHOLD),
+                               ("M_TRIM_THRESHOLD", _M_TRIM_THRESHOLD, TRIM_THRESHOLD)):
+        if mallopt(param, value) != 1:
+            warnings.warn(f"mallopt({name}, {value}) failed; freed heap may go back "
+                          "to the kernel between trials", RuntimeWarning, stacklevel=3)
+
+
 def run_experiment(config, jobs=None):
     """Sweep the grid; returns an ExperimentResult with per-trial records.
 
@@ -426,12 +464,16 @@ def run_experiment(config, jobs=None):
     capped at the usable CPUs and the trials, and is 1 off Linux.  Trials
     whose instance raises NotPositiveDefinite (in practice NumericallySingular:
     every generator is definite by construction) are counted in ``failures``.
+    On glibc it first sets this process's mmap and trim thresholds
+    (MMAP_THRESHOLD, TRIM_THRESHOLD), which the workers inherit and which
+    stay set after it returns, so that freed trial arrays stay on the heap.
     """
     t0 = time.perf_counter()
     grid = [(kappa_label, rho, trial) for kappa_label, rho in config.cells()
             for trial in range(config.trials)]
     tasks = list(zip(grid, np.random.SeedSequence(config.seed).spawn(len(grid))))
     jobs = _job_count(jobs, len(tasks))
+    _retain_heap()
     results = [None] * len(tasks)
     readers = {}
     try:

@@ -128,8 +128,9 @@ def make_basis(kind, m, n, base_kind="toeplitz", scale=0.5):
         Matrix dimensions; for 'stacked_scaled' m counts the rows of the full
         stacked matrix [B; scale * B] and must be even.
     base_kind, scale : str, float
-        Only for 'stacked_scaled': the structure of the repeated block and
-        the finite multiplier of the second copy.
+        Only for 'stacked_scaled': the structure of the repeated block, any
+        kind but 'stacked_scaled', and the finite multiplier of the second
+        copy.
     """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unsupported structure kind {kind!r}")
@@ -138,6 +139,9 @@ def make_basis(kind, m, n, base_kind="toeplitz", scale=0.5):
     if kind != "stacked_scaled":
         return StructureBasis(kind, (m, n), _grid_param(kind, m, n),
                               np.arange(m * n), np.ones(m * n))
+    if base_kind == "stacked_scaled":
+        # its kind could name only one of the two scales, so basis_from_token rejects it
+        raise ValueError("stacked_scaled cannot be its own base kind")
     if m % 2 != 0:
         raise ValueError("stacked_scaled needs an even row count")
     if not np.isfinite(scale):

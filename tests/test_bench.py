@@ -1,9 +1,13 @@
 import json
 import os
+import platform
 import re
+import subprocess
 import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -524,6 +528,76 @@ class TestParallelTrials:
         monkeypatch.setattr(bench.sys, "platform", "darwin")
         assert bench._job_count(None, 100) == 1
         assert bench._job_count(4, 100) == 1
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# the minor faults per trial of a second 200 x 120 table1 sweep in a fresh process
+TRIAL_FAULTS = """
+import resource
+from ilscond.bench import run_experiment, table1_config
+config = lambda seed: table1_config(m=200, n=120, p=140, trials=1, seed=seed)
+run_experiment(config(0), jobs=1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(config(1), jobs=1)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(config(1).cells()))
+"""
+
+
+def no_cdll(name):
+    raise AssertionError("mallopt called off glibc")
+
+
+def raising(exc):
+    def confstr(name):
+        raise exc
+    return confstr
+
+
+class TestHeapRetention:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap thresholds are glibc's")
+    def test_trials_take_no_page_faults(self):
+        # at glibc's dynamic thresholds each trial gave its heap back to the
+        # kernel and faulted it in again, about 460 minor faults
+        out = subprocess.run([sys.executable, "-c", TRIAL_FAULTS], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"})
+        assert float(out.stdout) <= 20
+
+    def test_failed_mallopt_warns(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 0
+
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+        monkeypatch.setattr(bench.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            run_experiment(tiny_config("ex3"), jobs=1)
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        assert [(w.category, str(w.message)) for w in log] == [
+            (RuntimeWarning, f"mallopt({name}, {value}) failed; freed heap may go back "
+                             "to the kernel between trials")
+            for name, value in (("M_MMAP_THRESHOLD", 32 << 20), ("M_TRIM_THRESHOLD", 64 << 20))]
+        assert {w.filename for w in log} == {__file__}
+
+    @pytest.mark.parametrize("confstr", [
+        lambda name: None, lambda name: "musl",
+        # musl's confstr fails with EINVAL; a libc without the name is unknown to os
+        raising(OSError(22, "Invalid argument")),
+        raising(ValueError("unrecognized configuration name")),
+        None,
+    ], ids=["undefined", "other-libc", "einval", "unknown-name", "no-confstr"])
+    def test_nothing_off_glibc(self, monkeypatch, confstr):
+        if confstr is None:
+            monkeypatch.delattr(os, "confstr", raising=False)
+        else:
+            monkeypatch.setattr(os, "confstr", confstr, raising=False)
+        monkeypatch.setattr(bench.ctypes, "CDLL", no_cdll)
+        assert run_experiment(tiny_config("ex3"), jobs=1).records
 
 
 class TestCli:

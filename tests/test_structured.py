@@ -115,6 +115,11 @@ class TestBases:
         with pytest.raises(ValueError, match=message):
             call()
 
+    def test_stacked_base_kind_rejected(self):
+        # its kind, stacked_scaled:stacked_scaled:0.5, could not be read back
+        with pytest.raises(ValueError, match="stacked_scaled cannot be its own base kind"):
+            make_basis("stacked_scaled", 8, 3, base_kind="stacked_scaled")
+
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
     def test_non_finite_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="stacked_scaled needs a finite scale"):

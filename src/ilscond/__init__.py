@@ -20,7 +20,6 @@ from .exact import (
     JacobianMg,
     UndefinedConditionNumber,
     kappa_2ils,
-    kappa_2ils_cross,
     kappa_componentwise,
     kappa_lls_svd_check,
     kappa_mixed,
@@ -46,19 +45,15 @@ from .structured import (
     make_basis,
 )
 from .tls import (
-    ComposedBlocks,
     TlsNotGeneric,
     TlsProblem,
     kappa_2tls,
     kappa_componentwise_tls,
-    kappa_composed_ils,
     kappa_mixed_tls,
-    tls_blocks,
 )
 
 __all__ = [
     "CondParams",
-    "ComposedBlocks",
     "ConditionReport",
     "IllConditionedWarning",
     "IlsProblem",
@@ -80,13 +75,11 @@ __all__ = [
     "estimate_kappa2_ssce",
     "estimate_kappa_inf_ssce",
     "kappa_2ils",
-    "kappa_2ils_cross",
     "kappa_2ils_structured",
     "kappa_2tls",
     "kappa_componentwise",
     "kappa_componentwise_structured",
     "kappa_componentwise_tls",
-    "kappa_composed_ils",
     "kappa_lls_svd_check",
     "kappa_mixed",
     "kappa_mixed_structured",
@@ -96,7 +89,6 @@ __all__ = [
     "make_basis",
     "save_problem",
     "spectral_interval",
-    "tls_blocks",
     "unvec",
     "vec",
     "wallis",

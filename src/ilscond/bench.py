@@ -279,11 +279,6 @@ class ExperimentResult:
     elapsed: float = 0.0
     processes: int = 1
 
-    def cell_stats(self, kappa_label, rho):
-        """Mean, variance and max of every ratio in one grid cell."""
-        return self._stats([rec for rec in self.records
-                            if rec.kappa_label == kappa_label and rec.rho == rho])
-
     def _stats(self, recs):
         stats = {}
         for name in RATIO_NAMES[self.config.example]:

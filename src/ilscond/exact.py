@@ -2,11 +2,12 @@
 
 Covers the unified weighted form under the induced (2,2) and (inf,inf)
 norms, the scalar-weight 2-norm, the infinity-norm mixed and componentwise
-forms, and two cross-checks for tests.  The first-order map from (dA, db)
-to d(L^T x) is row-structured, so no m*n + m column matrix is formed:
-every spectral norm is sqrt(lambda_max) of a k x k Gram matrix
-(_gram_norm), and every infinity norm a row sum.  With scalar weights the
-Gram matrix is S S^T of the Jacobian's k x (2m + n) factored form S.
+forms, and an SVD cross-check of the least squares case for tests.  The
+first-order map from (dA, db) to d(L^T x) is row-structured, so no
+m*n + m column matrix is formed: every spectral norm is sqrt(lambda_max)
+of a k x k Gram matrix (_gram_norm), and every infinity norm a row sum.
+With scalar weights the Gram matrix is S S^T of the Jacobian's
+k x (2m + n) factored form S.
 """
 
 from dataclasses import dataclass
@@ -130,7 +131,7 @@ class JacobianMg:
         return self.U.T @ (dA.T @ self.w) - self.V.T @ (dA @ self.x - db)
 
     def dense(self):
-        """Materialize the k x (m n + m) matrix (guarded against large sizes)."""
+        """Materialize the k x (m n + m) matrix (guarded); diagnostics and test oracles only."""
         entries = self.k * (self.m * self.n + self.m)
         if entries > DENSE_ENTRY_GUARD:
             raise MemoryError(
@@ -258,14 +259,6 @@ def _gram_norm(G):
     return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
 
 
-def _induced_norm(mat, mu, nu):
-    if (mu, nu) == (2, 2):
-        return float(np.linalg.norm(mat, 2))
-    if mu == np.inf and nu == np.inf:
-        return float(np.max(np.sum(np.abs(mat), axis=1))) if mat.size else 0.0
-    raise NotImplementedError(f"induced ({mu}, {nu})-norm is not supported")
-
-
 def kappa_unified(problem, params, mu=2, nu=2):
     """Weighted condition number under the induced (mu, nu) operator norm.
 
@@ -298,29 +291,6 @@ def kappa_2ils(problem, params=None):
     psi, beta, xi = params.scalars()
     S = problem.jacobian(params.L).factored(psi, beta)
     return _gram_norm(S @ S.T) / xi
-
-
-def kappa_2ils_cross(problem, params=None):
-    """2-norm condition number via the k x k cross-product form.
-
-    Squares the data (it forms A^T A), so it is a consistency path for
-    testing rather than the preferred evaluation.
-    """
-    params = params or CondParams()
-    psi, beta, xi = params.scalars()
-    L = params.l_matrix(problem.n)
-    sol = problem.solution
-    x, r = sol.x, sol.r
-    rn2 = float(r @ r)
-    xn2 = float(x @ x)
-    Ar = problem.A.T @ r
-    inner = psi**2 * rn2 * np.eye(problem.n)
-    inner += (psi**2 * xn2 + beta**2) * (problem.A.T @ problem.A)
-    inner -= psi**2 * (np.outer(x, Ar) + np.outer(Ar, x))
-    U = problem.factor.solve(L)
-    G = U.T @ inner @ U
-    G = 0.5 * (G + G.T)
-    return float(np.sqrt(max(np.linalg.norm(G, 2), 0.0))) / xi
 
 
 def mixed_ratio(num, ltx):

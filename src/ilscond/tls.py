@@ -5,27 +5,24 @@ on [A; sigma I_n] with signature diag(I_m, -I_n), where sigma is the
 smallest singular value of [A, b].  This module solves generic TLS
 instances from one Householder QR of [A, b], whose triangle goes straight
 to ils._certified_solve, the certify-and-solve routine of IlsProblem,
-evaluates their partial condition numbers (unified, 2-norm, mixed,
+and evaluates their partial condition numbers (unified, 2-norm, mixed,
 componentwise; the structured ones are fields of exact.ConditionReport on a
-TlsProblem), and provides the general composed first-order machinery for a
-stacked IlsProblem on [A; B] whose lower blocks depend on the data.
+TlsProblem).  The ILS map of the stacked problem, composed with the
+dependence of sigma on the data, reduces to TlsProblem's generators (Baboulin
+and Gratton, SIMAX 32, 2011), so every TLS value reads them alone.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf
 
-from .exact import (CondParams, JacobianMg, SharedJacobian, _induced_norm, kappa_2ils,
-                    kappa_componentwise, kappa_mixed)
+from .exact import JacobianMg, SharedJacobian, kappa_2ils, kappa_componentwise, kappa_mixed
 from .ils import EPS, NotPositiveDefinite, _certified_solve
-from .kron import checked_data, ddagger, vec
+from .kron import checked_data
 
 # relative gap below which sigma_tilde is not separated from sigma_n(A)
 GAP_TOL = 1e-10
-# sigma_tilde at or below this fraction of ||[A, b]||_2 counts as a consistent system
-SIGMA_TINY = 1e-13
 
 
 class TlsNotGeneric(ValueError):
@@ -108,91 +105,3 @@ class TlsProblem(SharedJacobian):
 kappa_2tls = kappa_2ils
 kappa_mixed_tls = kappa_mixed
 kappa_componentwise_tls = kappa_componentwise
-
-
-@dataclass(frozen=True, eq=False)
-class ComposedBlocks:
-    """First-order dependence of the stacked blocks (B, d) on the data (A, b).
-
-    vec(dB) = [M1, M2] [vec(dA); db] and dd = [M3, M4] [vec(dA); db].
-    """
-
-    M1: np.ndarray
-    M2: np.ndarray
-    M3: np.ndarray
-    M4: np.ndarray
-
-    @staticmethod
-    def shapes(m, n, s):
-        """Shapes of (M1, M2, M3, M4) for m x n data and s stacked rows."""
-        return (s * n, m * n), (s * n, m), (s, m * n), (s, m)
-
-    def validate(self, m, n, s):
-        got = (self.M1.shape, self.M2.shape, self.M3.shape, self.M4.shape)
-        if got != self.shapes(m, n, s):
-            raise ValueError(f"block shapes {got} do not conform to {self.shapes(m, n, s)}")
-
-    @classmethod
-    def zero(cls, m, n, s):
-        return cls(*map(np.zeros, cls.shapes(m, n, s)))
-
-
-def tls_blocks(t):
-    """Composed blocks of the TLS stacking B = sigma I_n, d = 0 of a TlsProblem.
-
-    The leading constant is 1/sigma, so consistent systems (sigma below
-    SIGMA_TINY relative to ||[A, b]||) are excluded rather than extrapolated.
-    """
-    sigma = t.sigma_tilde
-    scale = np.linalg.norm(np.column_stack([t.A, t.b]), 2)
-    if sigma <= SIGMA_TINY * scale:
-        raise TlsNotGeneric(
-            "sigma_tilde is numerically zero; the composed blocks blow up "
-            "on consistent systems"
-        )
-    x, r, n = t.x, t.r, t.n
-    coeff = 1.0 / (sigma * (1.0 + x @ x))
-    vi = vec(np.eye(n))
-    M1 = -coeff * np.outer(vi, np.kron(x, r))
-    M2 = coeff * np.outer(vi, r)
-    M3 = np.zeros((n, t.m * t.n))
-    M4 = np.zeros((n, t.m))
-    return ComposedBlocks(M1, M2, M3, M4)
-
-
-def composed_map(stacked, blocks):
-    """Dense first-order map of L^T x for a stacked problem with dependent blocks.
-
-    ``stacked`` is the IlsProblem on [A; B], [b; d] with signature split
-    (m, s).  The columns of its identity-L map that act on (A, b) give
-    N1, N2 and those acting on (B, d) give N3, N4; returns the k x (mn + m)
-    matrix [N1 + N3 M1 + N4 M3, N2 + N3 M2 + N4 M4] for L = I_n
-    (premultiply by L^T for a projected map).
-    """
-    m, s, n = stacked.p, stacked.q, stacked.n
-    blocks.validate(m, n, s)
-    full = stacked.jacobian().dense()
-    k = full.shape[0]
-    # vec is column-major: the column of entry (i, j) of [dA; dB] is [:, j, i]
-    dAB = full[:, : (m + s) * n].reshape(k, n, m + s)
-    N1 = dAB[:, :, :m].reshape(k, m * n)
-    N3 = dAB[:, :, m:].reshape(k, s * n)
-    dbd = full[:, (m + s) * n:]
-    N2, N4 = dbd[:, :m], dbd[:, m:]
-    left = N1 + N3 @ blocks.M1 + N4 @ blocks.M3
-    right = N2 + N3 @ blocks.M2 + N4 @ blocks.M4
-    return np.hstack([left, right])
-
-
-def kappa_composed_ils(stacked, blocks, params=None, mu=2, nu=2):
-    """Condition number of the stacked problem with data-dependent blocks.
-
-    The weights psi and beta act on the data (A, b): p x n and length p.
-    """
-    params = params or CondParams()
-    L = params.l_matrix(stacked.n)
-    wcol = np.concatenate([vec(params.weights("psi", (stacked.p, stacked.n))),
-                           params.weights("beta", (stacked.p,))])
-    xi = params.weights("xi", (L.shape[1],))
-    F = (L.T @ composed_map(stacked, blocks)) * wcol * ddagger(xi)[:, None]
-    return _induced_norm(F, mu, nu)

@@ -79,6 +79,23 @@ def dense_mg_oracle(problem, L=None):
     return np.hstack([blockA, LtMinvAtJ])
 
 
+def dense_tls_map(tls, L=None):
+    """The TLS first-order map assembled from explicit Kronecker products.
+
+    Its generators are TlsProblem's, but the map is built from np.kron, a
+    dense vec-permutation matrix and the inverse of the formed
+    A^T A - sigma_tilde^2 I, sharing nothing with the row-structured assembly.
+    """
+    if L is None:
+        L = np.eye(tls.n)
+    Minv = np.linalg.inv(tls.A.T @ tls.A - tls.sigma_tilde**2 * np.eye(tls.n))
+    LtMinv = L.T @ Minv
+    Dsig = LtMinv @ (tls.A.T + 2.0 * np.outer(tls.x, tls.r) / (1.0 + tls.x @ tls.x))
+    P = dense_vec_perm(tls.m, tls.n)
+    blockA = np.kron(tls.r[None, :], LtMinv) @ P - np.kron(tls.x[None, :], Dsig)
+    return np.hstack([blockA, Dsig])
+
+
 def rowsums_oracle(jac, Wa, wb):
     """Rows of |Mg| [vec(Wa); wb] summed one row at a time, the reference order."""
     Wa = np.asarray(Wa, dtype=float)

@@ -6,10 +6,13 @@ the double-precision route alone.  The route shares nothing with the
 library's: M = A^T J A is formed and inverted by LU at the working
 precision, the 2-norm value is sqrt(lambda_max) of the k x k Gram matrix of
 the first-order map in its cross-product form, and the numerator of the
-mixed and componentwise values is summed entry by entry.
+mixed and componentwise values is summed entry by entry.  The TLS map is
+taken by central differences of the TLS solution itself, so it checks the
+derivation of TlsProblem's generators as well as their evaluation.
 """
 
 import mpmath
+import numpy as np
 
 DIGITS = 50
 
@@ -95,3 +98,43 @@ def mp_tls_kappa2(A, b):
         d = V.T * r
         G = fdot(r, r) * (U.T * U) - c * d.T - d * c.T + (xx + 1) * (V.T * V)
         return float(mpmath.sqrt(max(mpmath.eigsy(G, eigvals_only=True))))
+
+
+def mp_tls_map(A, b):
+    """(x, G): the TLS solution on (A, b) and its first-order map, as floats.
+
+    Each of the m (n + 1) entries of [A, b] is moved by +h and by -h,
+    h = 1e-20, and the TLS solution re-solved at DIGITS digits from its
+    definition: with C = [A, b]^T [A, b], sigma_tilde^2 = lambda_min(C) and
+    x = (C_11 - sigma_tilde^2 I)^{-1} c_12, where C_11 = A^T A and
+    c_12 = A^T b.  Column j m + i of the n x (m n + m) central difference
+    G is the derivative along A's entry (i, j) and column m n + i the one
+    along b_i, the column order of JacobianMg.dense.  Its truncation error
+    is O(h^2) and its rounding O(10^-DIGITS / h), both far below double
+    precision; no generator formula is used.
+    """
+    m, n = A.shape
+    with mpmath.workdps(DIGITS):
+        h = mpmath.mpf(10) ** -20
+        full = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] + [mpmath.mpf(float(bi))]
+                              for row, bi in zip(A, b)])
+
+        def solve(data):
+            C = data.T * data
+            sigma2 = min(mpmath.eigsy(C, eigvals_only=True))
+            return mpmath.lu_solve(C[0:n, 0:n] - sigma2 * mpmath.eye(n), C[0:n, n])
+
+        G = mpmath.matrix(n, m * (n + 1))
+        for j in range(n + 1):
+            for i in range(m):
+                entry = full[i, j]
+                full[i, j] = entry + h
+                plus = solve(full)
+                full[i, j] = entry - h
+                minus = solve(full)
+                full[i, j] = entry
+                for c in range(n):
+                    G[c, j * m + i] = (plus[c] - minus[c]) / (2 * h)
+        x = solve(full)
+        return (np.array([float(v) for v in x]),
+                np.array([[float(G[c, k]) for k in range(m * (n + 1))] for c in range(n)]))

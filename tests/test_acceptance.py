@@ -13,29 +13,26 @@ from ilscond import (
     CondParams,
     ConditionReport,
     IlsProblem,
-    SignatureSplit,
     StructuredParams,
     TlsNotGeneric,
     TlsProblem,
     estimate_kappa2_pce,
     kappa_2ils,
-    kappa_2ils_cross,
     kappa_2tls,
     kappa_componentwise,
     kappa_componentwise_tls,
-    kappa_composed_ils,
     kappa_mixed,
     kappa_mixed_tls,
     kappa_unified,
     make_basis,
     spectral_interval,
-    tls_blocks,
 )
-from ilscond.bench import run_experiment, table1_config, table2_config, table3_config
+from ilscond.bench import (RATIO_NAMES, run_experiment, table1_config, table2_config,
+                           table3_config)
 from ilscond.cli import main as cli_main
 from ilscond.kron import entrywise_div, vec
 
-from conftest import directional_derivative, random_ils
+from conftest import dense_mg_oracle, dense_tls_map, directional_derivative, random_ils
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::ilscond.ils.IllConditionedWarning", "ignore::UserWarning"
@@ -52,6 +49,15 @@ def _rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def _cell_means(res, kappa_label, rho):
+    """(mean of each ratio, record count) over one grid cell; NaN means if it is empty."""
+    recs = [rec.values for rec in res.records
+            if rec.kappa_label == kappa_label and rec.rho == rho]
+    means = {name: np.mean([v[name] for v in recs]) if recs else np.nan
+             for name in RATIO_NAMES[res.config.example]}
+    return means, len(recs)
+
+
 def test_criterion_1_formula_equivalence():
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
@@ -61,9 +67,9 @@ def test_criterion_1_formula_equivalence():
         prob = random_ils(rng)
         params = CondParams()
         k_fact = kappa_2ils(prob, params)
-        k_cross = kappa_2ils_cross(prob, params)
+        k_dense = np.linalg.norm(dense_mg_oracle(prob), 2)
         k_uni = kappa_unified(prob, params, 2, 2)
-        worst_two = max(worst_two, _rel(k_fact, k_cross), _rel(k_fact, k_uni))
+        worst_two = max(worst_two, _rel(k_fact, k_dense), _rel(k_fact, k_uni))
         jac = prob.jacobian()
         num_rows = jac.abs_weighted_rowsums(np.abs(prob.A), np.abs(prob.b))
         num_dense = np.abs(jac.dense()) @ np.abs(
@@ -167,20 +173,20 @@ def test_criterion_4_table1():
     flat_ratio = None
     for kap in cfg.kappa_grid:
         for rho in cfg.rho_grid:
-            st = res.cell_stats(kap, rho)
-            ok = ok and st["r_p"]["count"] > 0
-            ok = ok and 0.995 <= st["r_p"]["mean"] <= 1.005
-            ok = ok and (1.0 / 15.0) <= st["r_s"]["mean"] <= 15.0
+            means, count = _cell_means(res, kap, rho)
+            ok = ok and count > 0
+            ok = ok and 0.995 <= means["r_p"] <= 1.005
+            ok = ok and (1.0 / 15.0) <= means["r_s"] <= 15.0
             if kap == 0:
                 # a norm gap, not an estimator error: the small-sample estimate
                 # targets ||S||_F, and at n^0 the spectrum of S is flat, so
                 # kappa_F / kappa_2 = sqrt(36) = 6.0; times the sampling mean
                 # sqrt(k (n - 1/2) / ((k - 1/2) n)) = 1.088 that is 6.53
                 # (10.95 * 1.093 = 11.97 at the published n = 120)
-                flat_ratio = st["r_s"]["mean"]
-                ok = ok and st["r_s"]["mean"] > 5.0
+                flat_ratio = means["r_s"]
+                ok = ok and means["r_s"] > 5.0
             else:
-                ok = ok and 0.9 <= st["r_s"]["mean"] <= 1.6
+                ok = ok and 0.9 <= means["r_s"] <= 1.6
     _report(4, "scaled table 1: probabilistic means in [0.995, 1.005], "
                "small-sample means in band, flat-spectrum overestimate > 5",
             ok, f"{elapsed:.0f}s, flat-spectrum ratio {flat_ratio:.2f}")
@@ -195,12 +201,12 @@ def test_criterion_5_table2():
     lo, hi = np.inf, 0.0
     for kap in cfg.kappa_grid:
         for rho in cfg.rho_grid:
-            st = res.cell_stats(kap, rho)
-            ok = ok and st["r_m"]["count"] > 0
+            means, count = _cell_means(res, kap, rho)
+            ok = ok and count > 0
             for name in ("r_m", "r_c"):
-                ok = ok and 0.3 <= st[name]["mean"] <= 3.0
-                lo = min(lo, st[name]["mean"])
-                hi = max(hi, st[name]["mean"])
+                ok = ok and 0.3 <= means[name] <= 3.0
+                lo = min(lo, means[name])
+                hi = max(hi, means[name])
     _report(5, "scaled table 2: mixed/componentwise estimate ratios in [0.3, 3.0] "
                "in every cell", ok, f"{elapsed:.0f}s, means in [{lo:.2f}, {hi:.2f}]")
 
@@ -213,11 +219,11 @@ def test_criterion_6_table3():
     ok = elapsed < 120.0
     best_rn = 0.0
     for rho in cfg.rho_grid:
-        st = res.cell_stats(None, rho)
-        ok = ok and st["r_N"]["count"] > 0
+        means, count = _cell_means(res, None, rho)
+        ok = ok and count > 0
         for name in ("r_N", "r_M", "r_C"):
-            ok = ok and st[name]["mean"] >= 1.0
-        best_rn = max(best_rn, st["r_N"]["mean"])
+            ok = ok and means[name] >= 1.0
+        best_rn = max(best_rn, means["r_N"])
     ok = ok and best_rn > 2.0
     _report(6, "table 3: structured values never exceed unstructured on average "
                "and the normwise gap tops 2", ok,
@@ -240,10 +246,8 @@ def test_criterion_7_tls_suite():
         _, _, Vt = np.linalg.svd(full)
         x_ref = -Vt[-1][:-1] / Vt[-1][-1]
         ok = ok and np.linalg.norm(tls.x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
-        stacked = IlsProblem(np.vstack([A, tls.sigma_tilde * np.eye(n)]),
-                             np.concatenate([b, np.zeros(n)]), SignatureSplit(m, n))
         a = kappa_2tls(tls)
-        c = kappa_composed_ils(stacked, tls_blocks(tls))
+        c = np.linalg.norm(dense_tls_map(tls), 2)
         ok = ok and _rel(a, c) <= 1e-9
     structured_checked = 0
     while structured_checked < 50:
@@ -262,8 +266,8 @@ def test_criterion_7_tls_suite():
         ok = ok and report.structured_2 <= kappa_2tls(tls) * tol
         ok = ok and report.structured_mixed <= kappa_mixed_tls(tls) * tol
         ok = ok and report.structured_componentwise <= kappa_componentwise_tls(tls) * tol
-    _report(7, "TLS: solution matches the SVD oracle, both condition paths agree, "
-               "structured never exceeds unstructured", ok)
+    _report(7, "TLS: solution matches the SVD oracle, kappa_2tls matches the dense "
+               "Kronecker map, structured never exceeds unstructured", ok)
 
 
 def test_criterion_8_estimator_contracts():

@@ -284,14 +284,20 @@ class TestRunExperiment:
         assert va != vb
 
     def test_summary_recomputes_from_records(self):
+        # every mean|var cell of the printed table, from the records alone
         res = run_experiment(tiny_config("ex2"))
-        stats = res.cell_stats(1e2, 1e-2)
-        vals = [r.values["r_m"] for r in res.records
-                if r.kappa_label == 1e2 and r.rho == 1e-2]
-        assert stats["r_m"]["mean"] == pytest.approx(np.mean(vals))
-        assert stats["r_m"]["max"] == pytest.approx(np.max(vals))
-        if len(vals) > 1:
-            assert stats["r_m"]["var"] == pytest.approx(np.var(vals, ddof=1))
+        rows = iter(res.format_table().splitlines()[2:])
+        cfg = res.config
+        for rho in cfg.rho_grid:
+            for name in ("r_m", "r_c"):
+                cells = next(rows).split()
+                assert cells[:2] == [f"{rho:g}", name]
+                for kap, mean, var in zip(cfg.kappa_grid, cells[2::2], cells[3::2]):
+                    vals = [r.values[name] for r in res.records
+                            if r.kappa_label == kap and r.rho == rho]
+                    assert len(vals) > 1
+                    assert mean == f"{np.mean(vals):.3e}"
+                    assert var == f"{np.var(vals, ddof=1):.3e}"
 
     def test_json_mirrors_csv(self, tmp_path):
         res = run_experiment(tiny_config("ex3"))

@@ -10,7 +10,6 @@ from ilscond import (
     SignatureSplit,
     UndefinedConditionNumber,
     kappa_2ils,
-    kappa_2ils_cross,
     kappa_componentwise,
     kappa_lls_svd_check,
     kappa_mixed,
@@ -340,13 +339,12 @@ class TestKappa2:
         prob = IlsProblem(np.eye(n), np.zeros(n), SignatureSplit(n, 0))
         assert kappa_2ils(prob, CondParams()) == pytest.approx(1.0, rel=1e-12)
 
-    def test_factored_equals_cross_form(self, rng):
+    def test_factored_equals_kronecker_oracle(self, rng):
         for _ in range(10):
             prob = random_ils(rng, m=12, n=5)
             params = CondParams(psi=0.9, beta=1.4, xi=0.6)
-            assert rel_err(
-                kappa_2ils(prob, params), kappa_2ils_cross(prob, params)
-            ) <= 1e-9
+            expected = weighted_dense_norm(dense_mg_oracle(prob), params, prob.m, prob.n)
+            assert rel_err(kappa_2ils(prob, params), expected) <= 1e-9
 
     def test_matches_unified_brute_force(self, rng):
         for _ in range(5):

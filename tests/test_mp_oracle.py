@@ -2,7 +2,9 @@
 
 The ILS cells check kappa_2, mixed and componentwise values, at residual
 norm rho = 1 and, on ex2, at the small residual rho = 1e-4; the TLS cells
-check kappa_2tls.
+check kappa_2tls, and the TLS map cells check the first-order map entry by
+entry against 50-digit central differences of the TLS solution, with the
+kappa_2, mixed and componentwise values read from it.
 
 Each value must agree with its reference to c n eps cond(A) relative, with
 c = 10 fixed before any error was measured.  A componentwise value divides
@@ -20,10 +22,11 @@ mpmath each and run with ``-m mpmath_desk``.
 import numpy as np
 import pytest
 
-from ilscond import ConditionReport, TlsProblem, kappa_2ils, kappa_2tls
+from ilscond import (ConditionReport, CondParams, TlsProblem, kappa_2ils, kappa_2tls,
+                     kappa_componentwise_tls, kappa_mixed_tls)
 from ilscond.bench import gen_example1, gen_example2
 
-from mp_oracle import mp_condition_numbers, mp_tls_kappa2
+from mp_oracle import mp_condition_numbers, mp_tls_kappa2, mp_tls_map
 
 EPS = np.finfo(float).eps
 C = 10
@@ -108,6 +111,17 @@ def test_desk_table2_kappa_1e8_small_residual():
     _assert_agrees(problem)
 
 
+def _tls_instance(m, n, kappa):
+    """A = Q diag(logspace(0, -log10 kappa, n)) W^T, so cond(A) = kappa, and b
+    carries noise well below sigma_n(A), so the instance is generic."""
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    W, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.logspace(0, -np.log10(kappa), n)
+    A = (Q * s) @ W.T
+    return A, A @ rng.standard_normal(n) + 1e-2 * s[-1] * rng.standard_normal(m)
+
+
 @pytest.mark.parametrize("kappa", [
     # measured relative error of kappa_2tls, then the tolerance
     1e2,  # 6.2e-16, tol 1.8e-12
@@ -115,16 +129,59 @@ def test_desk_table2_kappa_1e8_small_residual():
     1e7,  # 1.5e-11, tol 1.8e-07
 ])
 def test_tls_small(kappa):
-    # A = Q diag(logspace(0, -log10 kappa, n)) W^T, so cond(A) = kappa, and
-    # b carries noise well below sigma_n(A), so the instance is generic
     m, n = 40, 8
-    rng = np.random.default_rng(0)
-    Q, _ = np.linalg.qr(rng.standard_normal((m, n)))
-    W, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    s = np.logspace(0, -np.log10(kappa), n)
-    A = (Q * s) @ W.T
-    b = A @ rng.standard_normal(n) + 1e-2 * s[-1] * rng.standard_normal(m)
+    A, b = _tls_instance(m, n, kappa)
     exact = mp_tls_kappa2(A, b)
     err = abs(kappa_2tls(TlsProblem(A, b)) - exact) / exact
     bound = C * n * EPS * np.linalg.cond(A)
     assert err <= bound, f"kappa_2tls: relative error {err:.2e} above {bound:.2e}"
+
+
+def _assert_tls_map_agrees(A, b):
+    """The TLS map entrywise, and kappa_2, mixed and componentwise read from it.
+
+    The tolerance is c n eps cond(F) for Mt = F^T F, relative to the largest
+    entry for the map, with the componentwise factor ||x||_inf / min |x_i|.
+    Each comment gives the measured errors of the map, then of (kappa_2,
+    mixed, componentwise), then the tolerance.
+    """
+    tls = TlsProblem(A, b)
+    x, G = mp_tls_map(A, b)
+    tol = C * A.shape[1] * EPS * tls.factor.cond
+    err = np.abs(tls.jacobian().dense() - G).max() / np.abs(G).max()
+    assert err <= tol, f"map: entrywise error {err:.2e} above {tol:.2e}"
+    num = np.abs(G) @ np.abs(np.concatenate([A.ravel(order="F"), b]))
+    ref = (np.linalg.norm(G, 2), num.max() / np.abs(x).max(), np.max(num / np.abs(x)))
+    got = (kappa_2tls(tls), kappa_mixed_tls(tls), kappa_componentwise_tls(tls))
+    tols = (tol, tol, tol * np.abs(x).max() / np.abs(x).min())
+    for name, value, exact, bound in zip(("kappa_2", "mixed", "componentwise"),
+                                         got, ref, tols):
+        err = abs(value - exact) / exact
+        assert err <= bound, f"{name}: relative error {err:.2e} above {bound:.2e}"
+    return tls, G
+
+
+def test_tls_map_small():
+    # map 6.8e-16; 0.0 1.5e-16 2.6e-15; tol 2.5e-14 (componentwise 1.8e-13);
+    # the partial weighted kappa_2 below 7.1e-16
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((8, 3))
+    b = A @ rng.standard_normal(3) + 0.3 * rng.standard_normal(8)
+    tls, G = _assert_tls_map_agrees(A, b)
+    L = rng.standard_normal((3, 2))
+    psi, beta, xi = 1.2, 0.7, 1.5
+    exact = np.linalg.norm(L.T @ G * np.r_[np.full(24, psi), np.full(8, beta)], 2) / xi
+    value = kappa_2tls(tls, CondParams(L=L, psi=psi, beta=beta, xi=xi))
+    assert abs(value - exact) / exact <= C * 3 * EPS * tls.factor.cond
+
+
+def test_tls_map_ill_conditioned():
+    # cond(A) = 1e4; map 2.9e-12; 9.5e-15 9.7e-14 4.7e-13; tol 8.9e-11
+    _assert_tls_map_agrees(*_tls_instance(10, 4, 1e4))
+
+
+@pytest.mark.mpmath_desk
+def test_desk_tls_map_cond_1e6():
+    # cond(A) = 1e6, 1.3-1.5 s of mpmath; map 4.7e-11; 9.4e-12 3.0e-11
+    # 2.3e-11; tol 1.1e-08 (componentwise 9.7e-08)
+    _assert_tls_map_agrees(*_tls_instance(14, 5, 1e6))

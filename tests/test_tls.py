@@ -19,16 +19,12 @@ from ilscond import (
     TlsProblem,
     kappa_2tls,
     kappa_componentwise_tls,
-    kappa_composed_ils,
     kappa_mixed_tls,
-    kappa_unified,
     make_basis,
-    tls_blocks,
 )
 from ilscond.kron import entrywise_div, vec
-from ilscond.tls import ComposedBlocks
 
-from conftest import dense_vec_perm
+from conftest import dense_tls_map
 
 
 def rel_err(a, b):
@@ -62,18 +58,6 @@ def stacked_ils(A, B, b, d):
     """The indefinite problem on [A; B], [b; d] with signature diag(I_m, -I_s)."""
     return IlsProblem(np.vstack([A, B]), np.concatenate([b, d]),
                       SignatureSplit(len(A), len(B)))
-
-
-def dense_tls_map(tls, L=None):
-    """The TLS first-order map assembled from explicit Kronecker products."""
-    if L is None:
-        L = np.eye(tls.n)
-    Minv = np.linalg.inv(tls.A.T @ tls.A - tls.sigma_tilde**2 * np.eye(tls.n))
-    LtMinv = L.T @ Minv
-    Dsig = LtMinv @ (tls.A.T + 2.0 * np.outer(tls.x, tls.r) / (1.0 + tls.x @ tls.x))
-    P = dense_vec_perm(tls.m, tls.n)
-    blockA = np.kron(tls.r[None, :], LtMinv) @ P - np.kron(tls.x[None, :], Dsig)
-    return np.hstack([blockA, Dsig])
 
 
 class TestSolveTls:
@@ -232,7 +216,7 @@ class TestBoundaryValidation:
 
 
 class TestKappa2Tls:
-    def test_matches_composed_blocks_path(self, rng):
+    def test_weighted_matches_stacked_problem_and_dense_map(self, rng):
         for _ in range(10):
             A, b = random_tls(rng, m=9, n=3)
             tls = TlsProblem(A, b)
@@ -241,10 +225,13 @@ class TestKappa2Tls:
             np.testing.assert_allclose(sol.x, tls.x, rtol=1e-10)
             np.testing.assert_allclose(sol.r[9:], -tls.sigma_tilde * tls.x,
                                        rtol=1e-9, atol=1e-12)
-            params = CondParams(psi=1.1, beta=0.9, xi=1.3)
-            a = kappa_2tls(tls, params)
-            c = kappa_composed_ils(stacked, tls_blocks(tls), params, 2, 2)
-            assert rel_err(a, c) <= 1e-9
+            psi, beta, xi = 1.1, 0.9, 1.3
+            mat = dense_tls_map(tls)
+            mat[:, : 9 * 3] *= psi
+            mat[:, 9 * 3 :] *= beta
+            expected = np.linalg.norm(mat, 2) / xi
+            got = kappa_2tls(tls, CondParams(psi=psi, beta=beta, xi=xi))
+            assert rel_err(got, expected) <= 1e-9
 
     def test_matches_dense_kronecker_oracle(self, rng):
         A, b = random_tls(rng, m=8, n=3)
@@ -325,70 +312,6 @@ class TestKappa2Tls:
             assert resp <= kappa * (1.0 + 1e-3)
             best = max(best, resp)
         assert best >= 0.5 * kappa
-
-
-class TestComposed:
-    def test_zero_blocks_reduce_to_fixed_stack(self, rng):
-        # with no dependence of (B, d) on the data, the composed map is the
-        # plain indefinite map of the stacked problem restricted to (dA, db)
-        A = rng.standard_normal((8, 3))
-        B = 0.4 * rng.standard_normal((2, 3))
-        b = rng.standard_normal(8)
-        d = rng.standard_normal(2)
-        stacked = stacked_ils(A, B, b, d)
-        blocks = ComposedBlocks.zero(8, 3, 2)
-        params = CondParams()
-        got = kappa_composed_ils(stacked, blocks, params, 2, 2)
-        full_map = stacked.jacobian().dense()
-        # columns of the stacked map touching (dA, db) only
-        m, n, s = 8, 3, 2
-        keep_a = [j * (m + s) + i for j in range(n) for i in range(m)]
-        keep_b = [(m + s) * n + i for i in range(m)]
-        expected = np.linalg.norm(full_map[:, keep_a + keep_b], 2)
-        assert rel_err(got, expected) <= 1e-10
-
-    def test_empty_stack_is_least_squares(self, rng):
-        A = rng.standard_normal((9, 4))
-        b = rng.standard_normal(9)
-        stacked = stacked_ils(A, np.zeros((0, 4)), b, np.zeros(0))
-        blocks = ComposedBlocks.zero(9, 4, 0)
-        prob = IlsProblem(A, b, SignatureSplit(9, 0))
-        params = CondParams()
-        assert rel_err(
-            kappa_composed_ils(stacked, blocks, params, 2, 2),
-            kappa_unified(prob, params, 2, 2),
-        ) <= 1e-10
-
-    def test_blocks_match_singular_value_derivative(self, rng):
-        # vec(dB) = M1 vec(dA) + M2 db predicts the change of sigma*I; check
-        # it against finite differences of the smallest singular value
-        A, b = random_tls(rng, m=9, n=3)
-        tls = TlsProblem(A, b)
-        blocks = tls_blocks(tls)
-        dA = rng.standard_normal((9, 3))
-        db = rng.standard_normal(9)
-        predicted = blocks.M1 @ vec(dA) + blocks.M2 @ db
-        dsigma_pred = predicted[0]  # vec(dsigma * I) carries dsigma on the diagonal
-        t = 1e-6
-        s1 = np.linalg.svd(np.column_stack([A + t * dA, b + t * db]),
-                           compute_uv=False)[-1]
-        dsigma_fd = (s1 - tls.sigma_tilde) / t
-        assert dsigma_fd == pytest.approx(dsigma_pred, rel=1e-4)
-
-    def test_blocks_guard_consistent_system(self, rng):
-        A = rng.standard_normal((8, 3))
-        x = rng.standard_normal(3)
-        tls = TlsProblem(A, A @ x + 1e-15 * rng.standard_normal(8))
-        with pytest.raises(TlsNotGeneric):
-            tls_blocks(tls)
-
-    def test_block_shapes_validated(self, rng):
-        A = rng.standard_normal((8, 3))
-        b = rng.standard_normal(8)
-        stacked = stacked_ils(A, 0.3 * np.eye(3), b, np.zeros(3))
-        bad = ComposedBlocks.zero(8, 3, 2)
-        with pytest.raises(ValueError):
-            kappa_composed_ils(stacked, bad)
 
 
 class TestKappaInfTls:

@@ -19,9 +19,9 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .estimate import SsceConfig, _orthonormal, estimate_kappa2_pce, estimate_kappa2_ssce, \
     estimate_kappa_inf_ssce
@@ -102,28 +102,34 @@ def gen_example2(m, n, p, kappa, rho, seed):
     return IlsProblem(A, b, SignatureSplit(p, q)), x, r
 
 
+@lru_cache(maxsize=4)
+def _example3_basis(n):
+    """The read-only basis of every 2n x n ex3 instance, built once per n."""
+    return make_basis("stacked_scaled", 2 * n, n, base_kind="toeplitz", scale=0.5)
+
+
 def gen_example3(n, rho, seed):
     """Stacked Toeplitz instance A = [B; B/2] with Gaussian generators.
 
     B is a nonsymmetric random Toeplitz n x n block; p = q = n, so the
     normal matrix is (3/4) B^T B against A_p^T A_p = B^T B: the certificate
     I - W W^T is (3/4) I, and the instance is definite whenever B is
-    nonsingular.  Only A is structured.  Returns (problem,
-    structured_params, planted_x, planted_r).
+    nonsingular.  Only A is structured, and its basis is shared by every
+    instance of size n.  Returns (problem, structured_params, planted_x,
+    planted_r).
     """
     if n < 2:
         raise ValueError("need n >= 2")
     rng = np.random.default_rng(seed)
     m = 2 * n
-    sparams = StructuredParams(make_basis("stacked_scaled", m, n, base_kind="toeplitz", scale=0.5))
+    basis = _example3_basis(n)
     c = rng.standard_normal(n)
     row = rng.standard_normal(n)
-    row[0] = c[0]
-    B = scipy.linalg.toeplitz(c, row)
-    A = np.vstack([B, 0.5 * B])
+    # B's first column c, then its first row's tail; the layout fixes how A @ x rounds
+    A = np.ascontiguousarray(basis.embed(np.concatenate([c, row[1:]])))
     x, r = _planted_xr(m, n, rho, rng)
     b = A @ x + r
-    return IlsProblem(A, b, SignatureSplit(n, n)), sparams, x, r
+    return IlsProblem(A, b, SignatureSplit(n, n)), StructuredParams(basis), x, r
 
 
 @dataclass

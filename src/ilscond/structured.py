@@ -7,9 +7,11 @@ parameters are b itself and its structured columns are the b block of the
 first-order map.  For every supported kind the columns of Phi have disjoint
 supports, hence Phi^T Phi = diag(d^2) with d the column norms.  Phi is kept
 as three flat entry arrays (param, index, value), one entry per nonzero and
-sorted by parameter, so embedding, extraction and the structured columns are
-single scatters, bincounts and segment sums; dense copies exist only for
-diagnostics.
+sorted by parameter, so embedding and extraction are single scatters and
+bincounts, and the structured columns two bincounts and two GEMMs (a segment
+sum for bases too dense for that); dense copies exist only for diagnostics.
+The entry arrays and d are read-only, so one basis can be shared by every
+problem of its shape.
 
 The structured condition numbers are fields of exact.ConditionReport, which
 extracts the parameters of A and builds the structured columns Mg_A Phi once
@@ -39,8 +41,9 @@ class StructureBasis:
     vec(data)) and column param[e] with value value[e]; the entries are
     stably sorted by param, so the entries of one parameter are contiguous.
     Every parameter in range(k) needs at least one entry; d holds the k
-    column norms.  ``kind`` is the structure token of a problem file, which
-    basis_from_token parses back into this basis.
+    column norms.  param, index, value and d are read-only.  ``kind`` is the
+    structure token of a problem file, which basis_from_token parses back
+    into this basis.
     """
 
     def __init__(self, kind, shape, param, index, value):
@@ -55,6 +58,8 @@ class StructureBasis:
         self._c = np.ldexp(1.0, np.frexp(np.max(np.abs(self.value)))[1])
         self.d = self._c * np.sqrt(np.bincount(self.param, weights=(self.value / self._c)**2))
         self.k = self.d.size
+        for a in (self.param, self.index, self.value, self.d):
+            a.flags.writeable = False
 
     def _scatter(self, s):
         # vec(Phi s): disjoint supports make each entry a single product
@@ -125,8 +130,8 @@ def make_basis(kind, m, n, base_kind="toeplitz", scale=0.5):
     kind : str
         One of 'toeplitz', 'hankel', 'symmetric', 'stacked_scaled', 'full'.
     m, n : int
-        Matrix dimensions; for 'stacked_scaled' m counts the rows of the full
-        stacked matrix [B; scale * B] and must be even.
+        Matrix dimensions, positive integers; for 'stacked_scaled' m counts
+        the rows of the full stacked matrix [B; scale * B] and must be even.
     base_kind, scale : str, float
         Only for 'stacked_scaled': the structure of the repeated block, any
         kind but 'stacked_scaled', and the finite multiplier of the second
@@ -134,6 +139,9 @@ def make_basis(kind, m, n, base_kind="toeplitz", scale=0.5):
     """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unsupported structure kind {kind!r}")
+    for name, dim in (("m", m), ("n", n)):
+        if not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueError(f"{name} must be a positive integer, got {dim!r}")
     if kind == "symmetric" and m != n:
         raise ValueError("symmetric structure needs a square shape")
     if kind != "stacked_scaled":

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -113,6 +114,18 @@ class TestGenerators:
     def test_example3_planted_residual(self, rng):
         prob, _, x, r = gen_example3(6, 2.5, rng)
         assert np.linalg.norm(prob.b - prob.A @ x) == pytest.approx(2.5, rel=1e-12)
+
+    def test_example3_toeplitz_block_from_its_draws(self):
+        prob, _, _, _ = gen_example3(6, 1.0, 11)
+        draws = np.random.default_rng(11)
+        c, row = draws.standard_normal(6), draws.standard_normal(6)
+        np.testing.assert_array_equal(prob.A[:6], scipy.linalg.toeplitz(c, np.r_[c[0], row[1:]]))
+        assert prob.A.flags.c_contiguous  # the layout fixes how b = A @ x rounds
+
+    def test_example3_shares_one_basis_per_size(self):
+        first = gen_example3(6, 1.0, 1)[1].basisA
+        assert gen_example3(6, 1e-2, 2)[1].basisA is first
+        assert gen_example3(7, 1.0, 1)[1].basisA is not first
 
 
 @st.composite

@@ -110,10 +110,29 @@ class TestBases:
                      r"data shape \(3, 4\), expected \(4, 3\)", id="extract-shape"),
         pytest.param(lambda: make_basis("stacked_scaled", 5, 3),
                      "stacked_scaled needs an even row count", id="stacked-odd-rows"),
+        pytest.param(lambda: make_basis("toeplitz", 0, 3), "m must be a positive integer, got 0",
+                     id="zero-rows"),
+        pytest.param(lambda: make_basis("hankel", 3, -1), "n must be a positive integer, got -1",
+                     id="negative-cols"),
+        pytest.param(lambda: make_basis("toeplitz", 2.5, 3), "m must be a positive integer, got 2.5",
+                     id="float-rows"),
+        pytest.param(lambda: make_basis("stacked_scaled", 0, 3), "m must be a positive integer",
+                     id="stacked-zero-rows"),
+        pytest.param(lambda: basis_from_token("full", 0, 0), "m must be a positive integer, got 0",
+                     id="token-zero"),
+        pytest.param(lambda: basis_from_token("stacked_scaled:toeplitz:0.5", 8, 4.0),
+                     "n must be a positive integer, got 4.0", id="token-float-cols"),
     ])
     def test_wrong_size_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    @pytest.mark.parametrize("name", ["param", "index", "value", "d"])
+    def test_entry_arrays_read_only(self, name):
+        # a shared basis cannot be edited into disagreeing with its own d
+        basis = make_basis("stacked_scaled", 8, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(basis, name)[0] = 5.0
 
     def test_stacked_base_kind_rejected(self):
         # its kind, stacked_scaled:stacked_scaled:0.5, could not be read back
@@ -148,6 +167,50 @@ class TestBases:
                       f"stacked_scaled:hankel:{1 / 3!r}", "stacked_scaled:toeplitz:1e-30"):
             basis = basis_from_token(token, 8, 4)
             assert basis.kind == token
+
+
+STRUCTURED_COLS_CASES = [
+    ("toeplitz", 8, 5, {}), ("hankel", 8, 5, {}), ("symmetric", 6, 6, {}), ("full", 8, 5, {}),
+    *[("stacked_scaled", 10 if base == "symmetric" else 8, 5, {"base_kind": base, "scale": -1.5})
+      for base in ("toeplitz", "hankel", "symmetric", "full")],
+]
+STRUCTURED_COLS_IDS = [c[0] + (":" + c[3]["base_kind"] if c[3] else "") for c in STRUCTURED_COLS_CASES]
+
+
+def _cols_problem(rng, m, n):
+    if m == n:  # square: J = I keeps A^T J A definite
+        return IlsProblem(rng.standard_normal((m, n)), rng.standard_normal(m), SignatureSplit(m, 0))
+    return random_ils(rng, m, n)
+
+
+class TestStructuredCols:
+    @pytest.mark.parametrize("one_column_l", [False, True], ids=["L=I", "L=one-column"])
+    @pytest.mark.parametrize("kind, m, n, kw", STRUCTURED_COLS_CASES, ids=STRUCTURED_COLS_IDS)
+    @pytest.mark.parametrize("form", ["structured_cols", "_product_cols", "_segment_cols"])
+    def test_matches_dense_product(self, rng, form, kind, m, n, kw, one_column_l):
+        basis = make_basis(kind, m, n, **kw)
+        problem = _cols_problem(rng, m, n)
+        jac = problem.jacobian(rng.standard_normal((n, 1)) if one_column_l else None)
+        mg, phi = jac.dense()[:, :m * n], basis.dense()
+        cols = getattr(jac, form)(basis)
+        assert cols.shape == (jac.k, basis.k)
+        bound = 10 * np.finfo(float).eps * (np.abs(mg) @ np.abs(phi))
+        assert np.all(np.abs(cols - mg @ phi) <= bound)
+
+    @pytest.mark.parametrize("kind, one_column_l, form", [
+        ("toeplitz", False, "_product_cols"),  # (8 + 5) 12 <= 2 * 40 * 5
+        ("toeplitz", True, "_segment_cols"),  # (8 + 5) 12 > 2 * 40 * 1
+        ("full", False, "_segment_cols"),  # (8 + 5) 40 > 2 * 40 * 5
+    ])
+    def test_rule_picks_form(self, rng, monkeypatch, kind, one_column_l, form):
+        jac = random_ils(rng, 8, 5).jacobian(np.ones((5, 1)) if one_column_l else None)
+        picked = []
+        for name in ("_product_cols", "_segment_cols"):
+            method = getattr(jac, name)
+            monkeypatch.setattr(jac, name, lambda b, name=name, method=method:
+                                picked.append(name) or method(b))
+        jac.structured_cols(make_basis(kind, 8, 5))
+        assert picked == [form]
 
 
 class TestExtract:

@@ -219,36 +219,18 @@ class JacobianMg:
         """Signed product Mg_A Phi_A of the A block with a basis (k x k1).
 
         Column j sums, over the entries (i, c, v) of parameter j, the rows
-        v (w_i U[c] - x_c V[i]) of the first-order map.  It is formed by
-        _product_cols when that method's generators hold no more entries
-        than _segment_cols' two nnz x k temporaries, (m + n) k1 <= 2 nnz k,
-        and by _segment_cols otherwise (dense bases, small k).  The b
-        block, unstructured, is V^T.
-        """
-        if (self.m + self.n) * basis_a.k <= 2 * basis_a.index.size * self.k:
-            return self._product_cols(basis_a)
-        return self._segment_cols(basis_a)
-
-    def _product_cols(self, basis_a):
-        """Mg_A Phi_A as U^T P_w - V^T P_x, two GEMMs.
-
-        Column j of P_w (n x k1) is Phi_j^T w and column j of P_x (m x k1)
-        is Phi_j x, with Phi_j parameter j's m x n matrix; one bincount over
-        the basis entries gathers each.
+        v (w_i U[c] - x_c V[i]) of the first-order map, so it equals
+        U^T (Phi_j^T w) - V^T (Phi_j x) with Phi_j parameter j's m x n
+        matrix.  One bincount over the basis entries gathers each of
+        P_w = [Phi_j^T w] (n x k1) and P_x = [Phi_j x] (m x k1), and the
+        columns are U^T P_w - V^T P_x, two GEMMs.  The b block,
+        unstructured, is V^T.
         """
         cols, rows = np.divmod(basis_a.index, self.m)
         k1, param, value = basis_a.k, basis_a.param, basis_a.value
         Pw = np.bincount(cols * k1 + param, weights=value * self.w[rows], minlength=self.n * k1)
         Px = np.bincount(rows * k1 + param, weights=value * self.x[cols], minlength=self.m * k1)
         return self.U.T @ Pw.reshape(self.n, k1) - self.V.T @ Px.reshape(self.m, k1)
-
-    def _segment_cols(self, basis_a):
-        """Mg_A Phi_A as one segment sum of the nnz x k rows of the basis entries."""
-        cols, rows = np.divmod(basis_a.index, self.m)
-        P = self.U[cols] * (basis_a.value * self.w[rows])[:, None]
-        P -= self.V[rows] * (basis_a.value * self.x[cols])[:, None]
-        starts = np.searchsorted(basis_a.param, np.arange(basis_a.k))
-        return np.add.reduceat(P, starts, axis=0).T
 
 
 class SharedJacobian:

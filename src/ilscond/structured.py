@@ -8,8 +8,8 @@ first-order map.  For every supported kind the columns of Phi have disjoint
 supports, hence Phi^T Phi = diag(d^2) with d the column norms.  Phi is kept
 as three flat entry arrays (param, index, value), one entry per nonzero and
 sorted by parameter, so embedding and extraction are single scatters and
-bincounts, and the structured columns two bincounts and two GEMMs (a segment
-sum for bases too dense for that); dense copies exist only for diagnostics.
+bincounts, and the structured columns two bincounts and two GEMMs; dense
+copies exist only for diagnostics.
 The entry arrays and d are read-only, so one basis can be shared by every
 problem of its shape.
 

@@ -169,50 +169,6 @@ class TestBases:
             assert basis.kind == token
 
 
-STRUCTURED_COLS_CASES = [
-    ("toeplitz", 8, 5, {}), ("hankel", 8, 5, {}), ("symmetric", 6, 6, {}), ("full", 8, 5, {}),
-    *[("stacked_scaled", 10 if base == "symmetric" else 8, 5, {"base_kind": base, "scale": -1.5})
-      for base in ("toeplitz", "hankel", "symmetric", "full")],
-]
-STRUCTURED_COLS_IDS = [c[0] + (":" + c[3]["base_kind"] if c[3] else "") for c in STRUCTURED_COLS_CASES]
-
-
-def _cols_problem(rng, m, n):
-    if m == n:  # square: J = I keeps A^T J A definite
-        return IlsProblem(rng.standard_normal((m, n)), rng.standard_normal(m), SignatureSplit(m, 0))
-    return random_ils(rng, m, n)
-
-
-class TestStructuredCols:
-    @pytest.mark.parametrize("one_column_l", [False, True], ids=["L=I", "L=one-column"])
-    @pytest.mark.parametrize("kind, m, n, kw", STRUCTURED_COLS_CASES, ids=STRUCTURED_COLS_IDS)
-    @pytest.mark.parametrize("form", ["structured_cols", "_product_cols", "_segment_cols"])
-    def test_matches_dense_product(self, rng, form, kind, m, n, kw, one_column_l):
-        basis = make_basis(kind, m, n, **kw)
-        problem = _cols_problem(rng, m, n)
-        jac = problem.jacobian(rng.standard_normal((n, 1)) if one_column_l else None)
-        mg, phi = jac.dense()[:, :m * n], basis.dense()
-        cols = getattr(jac, form)(basis)
-        assert cols.shape == (jac.k, basis.k)
-        bound = 10 * np.finfo(float).eps * (np.abs(mg) @ np.abs(phi))
-        assert np.all(np.abs(cols - mg @ phi) <= bound)
-
-    @pytest.mark.parametrize("kind, one_column_l, form", [
-        ("toeplitz", False, "_product_cols"),  # (8 + 5) 12 <= 2 * 40 * 5
-        ("toeplitz", True, "_segment_cols"),  # (8 + 5) 12 > 2 * 40 * 1
-        ("full", False, "_segment_cols"),  # (8 + 5) 40 > 2 * 40 * 5
-    ])
-    def test_rule_picks_form(self, rng, monkeypatch, kind, one_column_l, form):
-        jac = random_ils(rng, 8, 5).jacobian(np.ones((5, 1)) if one_column_l else None)
-        picked = []
-        for name in ("_product_cols", "_segment_cols"):
-            method = getattr(jac, name)
-            monkeypatch.setattr(jac, name, lambda b, name=name, method=method:
-                                picked.append(name) or method(b))
-        jac.structured_cols(make_basis(kind, 8, 5))
-        assert picked == [form]
-
-
 class TestExtract:
     def test_toeplitz_roundtrip(self, rng):
         basis = make_basis("toeplitz", 6, 4)

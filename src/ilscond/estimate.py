@@ -4,7 +4,8 @@ Three routes: a probabilistic spectral-norm interval (Golub-Kahan-Lanczos
 lower bound plus a probabilistic upper bound) driving a 2-norm condition
 estimate, a small-sample orthonormal-direction estimate of the same 2-norm
 quantity, and a small-sample estimate of the mixed and componentwise
-condition numbers.  All randomness flows from explicit seeds.
+condition numbers, drawn in the subspace the first-order map reads.  All
+randomness flows from explicit seeds.
 """
 
 import math
@@ -12,10 +13,9 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dorgqr, dsterf
+from scipy.linalg.lapack import dgeqrf, dorgqr, dpotrf, dsterf, dtrtrs
 
 from .exact import CondParams, ConditionReport, componentwise_ratio, mixed_ratio
-from .kron import unvec
 
 
 def wallis(k):
@@ -43,12 +43,76 @@ def _orthonormal(rng, rows, cols):
     return Q if rows >= cols else Q.T
 
 
+def _wallis_ratio(k, dim, name):
+    """w_k / w_dim for k orthonormal directions in R^dim; k is checked against
+    dim (``name`` in the message) first."""
+    if k > dim:
+        raise ValueError(f"sample count k must not exceed {name}")
+    return wallis(k) / wallis(dim)
+
+
 def _directions(rng, dim, k, name):
     """k orthonormal Gaussian directions in R^dim, the columns of Q, and the Wallis
     ratio w_k / w_dim; k is checked against dim (``name`` in the message) first."""
-    if k > dim:
-        raise ValueError(f"sample count k must not exceed {name}")
-    return _orthonormal(rng, dim, k), wallis(k) / wallis(dim)
+    factor = _wallis_ratio(k, dim, name)
+    return _orthonormal(rng, dim, k), factor
+
+
+def _wishart(rng, nu, k):
+    """A k x k Wishart(nu, I) draw, the Gram Y^T Y of a Gaussian nu x k Y.
+
+    By Bartlett's decomposition R^T R, R upper triangular with R_ii^2 a
+    chi-square with nu - i degrees of freedom (i = 0, ..., k - 1) and
+    standard normals above the diagonal; for nu < k, where that needs
+    nonpositive degrees, Y itself is drawn.  Row by row, as numpy's
+    triangle and index helpers cost more than the draw at k = 3.
+    """
+    R = rng.standard_normal((min(nu, k), k))
+    if nu >= k:
+        for i in range(k):
+            R[i, :i] = 0.0
+            R[i, i] = math.sqrt(rng.chisquare(nu - i))
+    return R.T @ R
+
+
+def _unit(v):
+    """(||v||, v / ||v||), with e_1 for v = 0; v is scaled by a power of two
+    first, so no square overflows or underflows."""
+    top = float(np.max(np.abs(v)))
+    if top == 0.0:
+        e1 = np.zeros(v.size)
+        e1[0] = 1.0
+        return 0.0, e1
+    e = math.frexp(top)[1]
+    s = np.ldexp(v, -e)
+    norm = math.sqrt(s @ s)
+    return math.ldexp(norm, e), s / norm
+
+
+def _subspace_images(jac, g, W):
+    """The k x jac.k transpose of Mg Q for k Haar directions Q in R^{m(n+1)}.
+
+    Mg reads dA only through dA^T w and dA x.  In coordinates of R^{m x n}
+    rotated so that w_hat = w / ||w|| leads the rows and x_hat the columns,
+    a Gaussian direction Z = (dA, db) has dA^T w_hat = g_A, dA x_hat =
+    w_hat (x_hat^T g_A) + (I - w_hat w_hat^T) g_B and db = g_b, with g =
+    [g_A; g_B; g_b] ((n + 2m) x k, Gaussian; its g_B rows are projected in
+    place).  The other (m - 1)(n - 1) coordinates enter only through their
+    Gram W (Wishart).  Cholesky QR, Q = Z R^{-1} with R^T R = Z^T Z =
+    g^T g + W, makes Q Haar, and Mg Q = (Mg Z) R^{-1} with
+    Mg Z = ||w|| U^T g_A - V^T (w_hat (x^T g_A) + ||x|| g_B - g_b).
+    """
+    m, n = jac.m, jac.n
+    wn, wh = _unit(jac.w)
+    xn, xh = _unit(jac.x)
+    gA, gB, gb = g[:n], g[n:n + m], g[n + m:]
+    gB -= np.outer(wh, wh @ gB)
+    R, info = dpotrf(g.T @ g + W)
+    if info != 0:
+        raise np.linalg.LinAlgError("Gram matrix of the sample directions is not positive definite")
+    t = xn * (np.outer(wh, xh @ gA) + gB) - gb
+    img = wn * (jac.U.T @ gA) - jac.V.T @ t
+    return dtrtrs(R, img.T, trans=1)[0]
 
 
 @dataclass
@@ -305,19 +369,21 @@ def estimate_kappa2_ssce(problem, params=None, config=None):
 def estimate_kappa_inf_ssce(problem, params=None, config=None):
     """Small-sample estimates of the mixed and componentwise condition numbers.
 
-    Draws k orthonormal directions jointly over (dA, db) (dimension
-    m(n+1)), pushes them through the first-order map, and scales the
-    entrywise root-sum-of-squares by the Wallis ratio.  Returns the pair
-    (mixed, componentwise).
+    Pushes k Haar-orthonormal directions over (dA, db), in dimension
+    m(n+1), through the first-order map, and scales the entrywise
+    root-sum-of-squares by the Wallis ratio.  Returns the pair (mixed,
+    componentwise).  The directions are drawn only in the coordinates the
+    map reads (_subspace_images): (n + 2m) k normals and a k x k Wishart
+    Gram in place of m(n+1) k normals and a tall QR.  That needs unweighted
+    directions; a |d|-weighted draw would need its own reduction.
     """
     config = config or SsceConfig()
-    m, n = problem.m, problem.n
-    Q, factor = _directions(config.make_rng(), m * (n + 1), config.k, "m(n+1)")
+    m, n, k = problem.m, problem.n, config.k
+    factor = _wallis_ratio(k, m * (n + 1), "m(n+1)")
+    rng = config.make_rng()
+    g = rng.standard_normal((n + 2 * m, k))
+    W = _wishart(rng, (m - 1) * (n - 1), k)
     report = ConditionReport(problem, params)
-    acc = np.zeros(report.jac.k)
-    for i in range(config.k):
-        z = Q[:, i]
-        u = report.jac.apply(unvec(z[: m * n], (m, n)), z[m * n :])
-        acc += u**2
-    kappa_vec = factor * np.sqrt(acc)
+    images = _subspace_images(report.jac, g, W)
+    kappa_vec = factor * np.sqrt(np.einsum("ij,ij->j", images, images))
     return mixed_ratio(kappa_vec, report.ltx), componentwise_ratio(kappa_vec, report.ltx)

@@ -41,7 +41,10 @@ class TlsProblem(SharedJacobian):
     solves it, unformed, from R = R_A, A_q = sigma_tilde I_n, y = z,
     b_q = 0 and the bound 1/(2n eps) of the 2n rows [R_A; sigma_tilde I_n].
     Its ``factor``, the certified Mt = F^T F, is behind every Mt^{-1}
-    product, with errors that grow with cond(A), not cond(Mt).
+    product, x included, whose errors grow with cond(Mt) = cond(F)^2, not
+    with cond(A) or the relative condition number of x: with sigma_tilde
+    close to sigma_n(A), x can be ten times less accurate than the SVD
+    route's -v[:n] / v[n] (test_tls.py::test_x_accuracy_near_small_gap).
     sigma_n(A) = hypot(sigma_min(F), sigma_tilde), and the instance is
     generic when sigma_tilde sits below it with relative gap at least
     GAP_TOL.  The gap is checked first at the lower bound

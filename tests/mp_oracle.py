@@ -100,6 +100,25 @@ def mp_tls_kappa2(A, b):
         return float(mpmath.sqrt(max(mpmath.eigsy(G, eigvals_only=True))))
 
 
+def _mp_data(A, b):
+    """[A, b] as an mpmath matrix of the doubles given."""
+    return mpmath.matrix([[mpmath.mpf(float(v)) for v in row] + [mpmath.mpf(float(bi))]
+                          for row, bi in zip(A, b)])
+
+
+def _mp_tls_solve(data, n):
+    """x = (C_11 - sigma_tilde^2 I)^{-1} c_12 for C = data^T data, sigma_tilde^2 = lambda_min(C)."""
+    C = data.T * data
+    sigma2 = min(mpmath.eigsy(C, eigvals_only=True))
+    return mpmath.lu_solve(C[0:n, 0:n] - sigma2 * mpmath.eye(n), C[0:n, n])
+
+
+def mp_tls_x(A, b):
+    """The TLS solution on (A, b) at DIGITS digits, from its definition, as floats."""
+    with mpmath.workdps(DIGITS):
+        return np.array([float(v) for v in _mp_tls_solve(_mp_data(A, b), A.shape[1])])
+
+
 def mp_tls_map(A, b):
     """(x, G): the TLS solution on (A, b) and its first-order map, as floats.
 
@@ -116,13 +135,10 @@ def mp_tls_map(A, b):
     m, n = A.shape
     with mpmath.workdps(DIGITS):
         h = mpmath.mpf(10) ** -20
-        full = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] + [mpmath.mpf(float(bi))]
-                              for row, bi in zip(A, b)])
+        full = _mp_data(A, b)
 
         def solve(data):
-            C = data.T * data
-            sigma2 = min(mpmath.eigsy(C, eigvals_only=True))
-            return mpmath.lu_solve(C[0:n, 0:n] - sigma2 * mpmath.eye(n), C[0:n, n])
+            return _mp_tls_solve(data, n)
 
         G = mpmath.matrix(n, m * (n + 1))
         for j in range(n + 1):

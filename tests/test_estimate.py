@@ -23,7 +23,8 @@ from ilscond import (
     wallis,
 )
 from ilscond.bench import gen_example1
-from ilscond.estimate import _bidiag_smax, _directions
+from ilscond.estimate import _bidiag_smax, _directions, _subspace_images, _unit, _wishart
+from ilscond.kron import unvec, vec
 
 from conftest import random_ils
 
@@ -320,6 +321,101 @@ class TestSsce2:
                     prob, CondParams(), SsceConfig(k=3, rng=rng)
                 )
                 assert exact / 10 <= est <= 10 * exact
+
+
+def _reflector(v):
+    # orthogonal H with H e_1 = v / ||v|| (e_1 itself for v = 0)
+    h = v / np.linalg.norm(v) if np.any(v) else np.eye(v.size)[0]
+    u = h - np.eye(v.size)[0]
+    if not np.any(u):
+        return np.eye(v.size)
+    u /= np.linalg.norm(u)
+    return np.eye(v.size) - 2.0 * np.outer(u, u)
+
+
+def _full_space_images(jac, g, Y):
+    """Mg Q, one direction per column, for the Haar frame Q of a full Gaussian Z.
+
+    The route the subspace draw replaced: Z's k columns are (vec(dA); db) in
+    R^{m(n+1)}, written in coordinates rotated so that w_hat leads the rows
+    and x_hat the columns of dA, from the same coordinates g = [g_A; g_B;
+    g_b] and the rest Y ((m-1)(n-1) x k); Cholesky QR normalizes Z, and
+    each column goes through jac.apply.
+    """
+    m, n = jac.m, jac.n
+    P, Qn = _reflector(jac.w), _reflector(jac.x)
+    Z = np.empty((m * (n + 1), g.shape[1]))
+    for j in range(g.shape[1]):
+        G = np.empty((m, n))
+        G[0] = Qn.T @ g[:n, j]
+        G[1:, 0] = P[:, 1:].T @ g[n:n + m, j]
+        G[1:, 1:] = Y[:, j].reshape(m - 1, n - 1)
+        Z[: m * n, j] = vec(P @ G @ Qn.T)
+        Z[m * n:, j] = g[n + m:, j]
+    R = np.linalg.cholesky(Z.T @ Z).T
+    Q = np.linalg.solve(R.T, Z.T).T
+    return np.column_stack([jac.apply(unvec(q[: m * n], (m, n)), q[m * n:]) for q in Q.T])
+
+
+class TestSubspaceDraw:
+    @staticmethod
+    def _maps(rng):
+        prob = random_ils(rng, m=9, n=4)
+        A = rng.standard_normal((7, 3))
+        tls = TlsProblem(A, A @ rng.standard_normal(3) + 0.3 * rng.standard_normal(7))
+        return {"ils": prob.jacobian(), "ils-partial-L": prob.jacobian(rng.standard_normal((4, 2))),
+                "tls": tls.jacobian()}
+
+    @pytest.mark.parametrize("name", ["ils", "ils-partial-L", "tls"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_full_space_route(self, rng, name, k):
+        jac = self._maps(rng)[name]
+        m, n = jac.m, jac.n
+        for _ in range(5):
+            g = rng.standard_normal((n + 2 * m, k))
+            Y = rng.standard_normal(((m - 1) * (n - 1), k))
+            want = _full_space_images(jac, g, Y)
+            got = _subspace_images(jac, g.copy(), Y.T @ Y).T
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_estimate_reads_subspace_images(self, rng):
+        # the estimate is (w_k / w_{m(n+1)}) times the row norms of Mg Q,
+        # drawn as (n + 2m) x k normals and then the Wishart Gram
+        prob = random_ils(rng, m=8, n=3)
+        mixed, comp = estimate_kappa_inf_ssce(prob, CondParams(), SsceConfig(k=3, seed=4))
+        draw = np.random.default_rng(4)
+        g = draw.standard_normal((3 + 16, 3))
+        images = _subspace_images(prob.jacobian(), g, _wishart(draw, 7 * 2, 3))
+        vals = wallis(3) / wallis(8 * 4) * np.linalg.norm(images, axis=0)
+        x = prob.solution.x
+        assert mixed == pytest.approx(vals.max() / np.abs(x).max(), rel=1e-14)
+        assert comp == pytest.approx(np.max(vals / np.abs(x)), rel=1e-14)
+
+    @pytest.mark.parametrize("e", [-1060, -600, 0, 600, 1000])
+    def test_unit_vector_free_of_overflow(self, e):
+        v = np.ldexp(np.array([3.0, -4.0, 0.0]), e)
+        norm, unit = _unit(v)
+        assert norm == math.ldexp(5.0, e)
+        np.testing.assert_allclose(unit, [0.6, -0.8, 0.0], rtol=1e-15)
+        assert _unit(np.zeros(3))[0] == 0.0
+        assert np.array_equal(_unit(np.zeros(3))[1], [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("nu", [2, 5, 40])
+    def test_wishart_moments(self, nu):
+        # E W = nu I, Var W_ii = 2 nu, Var W_ij = nu; nu = 2 < k draws Y itself,
+        # the others go through Bartlett.  Each sample mean and variance must
+        # lie within 5 standard errors, those of the variance estimated from
+        # the sample's fourth central moment
+        k, draws = 3, 20_000
+        rng = np.random.default_rng(nu)
+        W = np.array([_wishart(rng, nu, k) for _ in range(draws)])
+        assert np.array_equal(W, W.transpose(0, 2, 1))
+        for (i, j), mean, var in [((0, 0), nu, 2 * nu), ((1, 1), nu, 2 * nu),
+                                  ((2, 2), nu, 2 * nu), ((1, 0), 0, nu), ((2, 1), 0, nu)]:
+            s = W[:, i, j]
+            assert abs(s.mean() - mean) <= 5 * math.sqrt(var / draws)
+            m4 = np.mean((s - s.mean()) ** 4)
+            assert abs(s.var(ddof=1) - var) <= 5 * math.sqrt((m4 - s.var() ** 2) / draws)
 
 
 class TestSsceInf:

@@ -25,6 +25,7 @@ from ilscond import (
 from ilscond.kron import entrywise_div, vec
 
 from conftest import dense_tls_map
+from mp_oracle import mp_tls_x
 
 
 def rel_err(a, b):
@@ -95,6 +96,27 @@ class TestSolveTls:
     def test_wide_rejected(self):
         with pytest.raises(ValueError):
             TlsProblem(np.eye(3), np.ones(3))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "TlsProblem's x, from the QR of [A, b] and the certified factor of "
+    "A^T A - sigma_tilde^2 I, carries an error of order eps cond(Mt) = eps cond(F)^2, "
+    "above 10 n eps kappa_rel when sigma_tilde sits close to sigma_n(A)"))
+def test_x_accuracy_near_small_gap():
+    # cond(A) 2.1, sigma_n(A) - sigma_tilde = 1.5e-5, kappa_rel 2,279 and
+    # cond(Mt) 1.2e5: the library's x is 20.6 n eps kappa_rel away from the
+    # 50-digit solution, the SVD route's 1.6
+    rng = np.random.default_rng(22)
+    U = np.linalg.qr(rng.standard_normal((8, 4)))[0]
+    V = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    data = U @ np.diag([3.0, 2.0, 1.1, 1.0]) @ V.T
+    A, b = data[:, :3], data[:, 3]
+    tls = TlsProblem(A, b)
+    x = mp_tls_x(A, b)
+    kappa_rel = kappa_2tls(tls) * np.linalg.norm(data) / np.linalg.norm(x)
+    tol = 10 * tls.n * np.finfo(float).eps * kappa_rel
+    assert np.linalg.norm(svd_tls_oracle(A, b) - x) <= tol * np.linalg.norm(x)
+    assert np.linalg.norm(tls.x - x) <= tol * np.linalg.norm(x)
 
 
 class TestStackedRoute:

@@ -43,12 +43,16 @@ stacked = IlsProblem(np.vstack([A, tls.sigma_tilde * np.eye(n)]),
 stack_gap = np.linalg.norm(stacked.solution.x - tls.x) / np.linalg.norm(tls.x)
 print(f"stacked ILS solution agrees to {stack_gap:.1e} (relative)")
 
-# re-solve at (A, b) +- h z for the top right singular vector z of the map
+# re-solve at (A, b) +- h z for the top right singular vector z of the map:
+# the map and its factored form S share their left singular vectors, so z is
+# the adjoint Mg^T u = (w (U u)^T - (V u) x^T, V u) of S's top one, normalized
 kappa = kappa_2tls(tls)
-z = np.linalg.svd(tls.jacobian().dense())[2][0]
+jac = tls.jacobian()
+u = np.linalg.svd(jac.factored(1, 1))[0][:, 0]
+zA, zb = np.outer(jac.w, jac.U @ u) - np.outer(jac.V @ u, jac.x), jac.V @ u
+norm = np.sqrt(np.sum(zA**2) + zb @ zb)
 h = 1e-5
-dA = h * z[: m * n].reshape((m, n), order="F")
-db = h * z[m * n:]
+dA, db = h * zA / norm, h * zb / norm
 dx = (TlsProblem(A + dA, b + db).x - TlsProblem(A - dA, b - db).x) / (2 * h)
 attained = np.linalg.norm(dx) / kappa - 1
 print(f"\nkappa_2 = {kappa:.6e}")

@@ -21,7 +21,6 @@ from .exact import (
     UndefinedConditionNumber,
     kappa_2ils,
     kappa_componentwise,
-    kappa_lls_svd_check,
     kappa_mixed,
     kappa_unified,
 )
@@ -33,7 +32,7 @@ from .ils import (
     NumericallySingular,
     SignatureSplit,
 )
-from .kron import entrywise_div, unvec, vec
+from .kron import entrywise_div, vec
 from .probfile import load_problem, save_problem
 from .structured import (
     StructureBasis,
@@ -80,7 +79,6 @@ __all__ = [
     "kappa_componentwise",
     "kappa_componentwise_structured",
     "kappa_componentwise_tls",
-    "kappa_lls_svd_check",
     "kappa_mixed",
     "kappa_mixed_structured",
     "kappa_mixed_tls",
@@ -89,7 +87,6 @@ __all__ = [
     "make_basis",
     "save_problem",
     "spectral_interval",
-    "unvec",
     "vec",
     "wallis",
 ]

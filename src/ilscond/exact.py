@@ -1,11 +1,11 @@
 """Exact partial condition numbers of an ILS or TLS instance.
 
 Covers the unified weighted form under the induced (2,2) and (inf,inf)
-norms, the scalar-weight 2-norm, the infinity-norm mixed and componentwise
-forms, and an SVD cross-check of the least squares case for tests.  The
-first-order map from (dA, db) to d(L^T x) is row-structured, so no
-m*n + m column matrix is formed: every spectral norm is sqrt(lambda_max)
-of a k x k Gram matrix (_gram_norm), and every infinity norm a row sum.
+norms, the scalar-weight 2-norm, and the infinity-norm mixed and
+componentwise forms.  The first-order map from (dA, db) to d(L^T x) is
+row-structured, so no m*n + m column matrix is formed: every spectral norm
+is sqrt(lambda_max) of a k x k Gram matrix (_gram_norm), and every infinity
+norm a row sum.
 With scalar weights the Gram matrix is S S^T of the Jacobian's
 k x (2m + n) factored form S.
 """
@@ -15,9 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .kron import checked_data, ddagger, entrywise_div, vec
+from .kron import checked_data, ddagger, entrywise_div
 
-DENSE_ENTRY_GUARD = 50_000_000
 ROWSUM_BLOCK_ENTRIES = 1 << 16
 
 
@@ -95,8 +94,7 @@ class JacobianMg:
     u_i, v_i the i-th columns of U and V.  Each problem class supplies its
     own generators in ``_build_jacobian`` (for the ILS map w = J r,
     U = M^{-1} L and V = J A M^{-1} L).  Memory stays at the O((m + n) k)
-    generators and, once asked for, the k x (2m + n) factored form; dense()
-    builds a new array on each call and keeps none.
+    generators and, once asked for, the k x (2m + n) factored form.
     """
 
     def __init__(self, w, U, V, x, A, b):
@@ -112,38 +110,6 @@ class JacobianMg:
         if self.V.shape[1] != self.k or self.w.size != self.m or self.x.size != self.n:
             raise ValueError("inconsistent generator dimensions")
         self._unit_factored = None
-
-    @property
-    def shape(self):
-        return (self.k, self.m * self.n + self.m)
-
-    def row(self, i):
-        """The pair (Ra_i, rb_i): row i as an m x n matrix plus an m-vector."""
-        Ra = np.outer(self.w, self.U[:, i]) - np.outer(self.V[:, i], self.x)
-        return Ra, self.V[:, i].copy()
-
-    def apply(self, dA, db):
-        """Directional derivative of L^T x along the perturbation (dA, db)."""
-        dA = np.asarray(dA, dtype=float)
-        db = np.asarray(db, dtype=float).ravel()
-        if dA.shape != (self.m, self.n) or db.size != self.m:
-            raise ValueError("perturbation dimensions do not match the problem")
-        return self.U.T @ (dA.T @ self.w) - self.V.T @ (dA @ self.x - db)
-
-    def dense(self):
-        """Materialize the k x (m n + m) matrix (guarded); diagnostics and test oracles only."""
-        entries = self.k * (self.m * self.n + self.m)
-        if entries > DENSE_ENTRY_GUARD:
-            raise MemoryError(
-                f"dense first-order map would hold {entries} entries "
-                f"(limit {DENSE_ENTRY_GUARD}); use the rows form"
-            )
-        out = np.empty(self.shape)
-        for i in range(self.k):
-            Ra, rb = self.row(i)
-            out[i, : self.m * self.n] = vec(Ra)
-            out[i, self.m * self.n:] = rb
-        return out
 
     def factored(self, psi, beta):
         """k x (2m + n) S with S S^T = weighted_gram for constant weights psi, beta.
@@ -408,24 +374,3 @@ def kappa_componentwise(problem, params=None):
     """Componentwise condition number; zero output components use the 0^ddagger rule."""
     return ConditionReport(problem, params).componentwise
 
-
-def kappa_lls_svd_check(A, b, params=None):
-    """Least squares 2-norm condition number through the thin SVD closed form.
-
-    Independent of the Cholesky solve path: solution, residual and condition
-    number all come from one SVD of A.  Serves as an oracle for the J = I
-    reduction of kappa_2ils.
-    """
-    params = params or CondParams()
-    psi, beta, xi = params.scalars()
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
-    Um, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s[-1] <= max(A.shape) * np.finfo(float).eps * s[0]:
-        raise np.linalg.LinAlgError("A is numerically rank deficient")
-    x = Vt.T @ ((Um.T @ b) / s)
-    r = b - A @ x
-    L = params.l_matrix(A.shape[1])
-    smat = np.sqrt(psi**2 * (r @ r) + (psi**2 * (x @ x) + beta**2) * s**2)
-    mat = (smat / s**2)[:, None] * (Vt @ L)
-    return float(np.linalg.norm(mat, 2)) / xi

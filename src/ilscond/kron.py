@@ -56,11 +56,3 @@ def vec(A):
     """Stack the columns of A into one vector."""
     return np.asarray(A, dtype=float).ravel(order="F")
 
-
-def unvec(v, shape):
-    """Inverse of vec: reshape a length m*n vector into an m x n matrix."""
-    m, n = shape
-    v = np.asarray(v, dtype=float)
-    if v.size != m * n:
-        raise ValueError(f"cannot reshape length {v.size} into {m}x{n}")
-    return v.reshape((m, n), order="F")

@@ -8,8 +8,7 @@ first-order map.  For every supported kind the columns of Phi have disjoint
 supports, hence Phi^T Phi = diag(d^2) with d the column norms.  Phi is kept
 as three flat entry arrays (param, index, value), one entry per nonzero and
 sorted by parameter, so embedding and extraction are single scatters and
-bincounts, and the structured columns two bincounts and two GEMMs; dense
-copies exist only for diagnostics.
+bincounts, and the structured columns two bincounts and two GEMMs.
 The entry arrays and d are read-only, so one basis can be shared by every
 problem of its shape.
 
@@ -96,12 +95,6 @@ class StructureBasis:
             raise StructureMismatch(f"data is not {self.kind}-structured: "
                                     f"entry ({i}, {j}) deviates by {resid[worst]:.3e}")
         return s
-
-    def dense(self):
-        """Dense Phi (size x k); diagnostics and test oracles only."""
-        out = np.zeros((self.size, self.k))
-        out[self.index, self.param] = self.value
-        return out
 
 
 def _grid_param(kind, m, n):

@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,14 +97,31 @@ def dense_tls_map(tls, L=None):
     return np.hstack([blockA, Dsig])
 
 
+def dense_generator_map(jac):
+    """The dense k x (m n + m) map of jac's own generators, row i [vec(w u_i^T - v_i x^T); v_i].
+
+    It shares the generators with the kernel under test, so a check against
+    it isolates that kernel's own error; the checks of the generators
+    themselves use dense_mg_oracle, dense_tls_map or mp_oracle.
+    """
+    return np.hstack([np.kron(jac.U.T, jac.w[None]) - np.kron(jac.x[None], jac.V.T), jac.V.T])
+
+
+def dense_basis(basis):
+    """Dense Phi (size x k) of a structure basis, from its (index, param, value) entries."""
+    phi = np.zeros((basis.size, basis.k))
+    phi[basis.index, basis.param] = basis.value
+    return phi
+
+
 def rowsums_oracle(jac, Wa, wb):
     """Rows of |Mg| [vec(Wa); wb] summed one row at a time, the reference order."""
     Wa = np.asarray(Wa, dtype=float)
     wb = np.asarray(wb, dtype=float).ravel()
     out = np.empty(jac.k)
     for i in range(jac.k):
-        Ra, rb = jac.row(i)
-        out[i] = float(np.sum(np.abs(Ra) * Wa) + np.abs(rb) @ wb)
+        Ra = np.outer(jac.w, jac.U[:, i]) - np.outer(jac.V[:, i], jac.x)
+        out[i] = float(np.sum(np.abs(Ra) * Wa) + np.abs(jac.V[:, i]) @ wb)
     return out
 
 
@@ -135,6 +153,16 @@ def directional_derivative(problem, L, dA, db):
     term2 = np.linalg.solve(M, A.T @ problem.split.apply(dA @ x))
     term3 = np.linalg.solve(M, A.T @ problem.split.apply(db))
     return L.T @ (term1 - term2 + term3)
+
+
+def peak_traced_bytes(fn):
+    """Peak bytes allocated while fn() runs, numpy's buffers included, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -128,9 +128,9 @@ def mp_tls_map(A, b):
     x = (C_11 - sigma_tilde^2 I)^{-1} c_12, where C_11 = A^T A and
     c_12 = A^T b.  Column j m + i of the n x (m n + m) central difference
     G is the derivative along A's entry (i, j) and column m n + i the one
-    along b_i, the column order of JacobianMg.dense.  Its truncation error
-    is O(h^2) and its rounding O(10^-DIGITS / h), both far below double
-    precision; no generator formula is used.
+    along b_i, the column order of conftest.dense_generator_map.  Its
+    truncation error is O(h^2) and its rounding O(10^-DIGITS / h), both far
+    below double precision; no generator formula is used.
     """
     m, n = A.shape
     with mpmath.workdps(DIGITS):

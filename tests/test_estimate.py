@@ -24,9 +24,9 @@ from ilscond import (
 )
 from ilscond.bench import gen_example1
 from ilscond.estimate import _bidiag_smax, _directions, _subspace_images, _unit, _wishart
-from ilscond.kron import unvec, vec
+from ilscond.kron import vec
 
-from conftest import random_ils
+from conftest import dense_generator_map, dense_mg_oracle, dense_tls_map, random_ils
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -110,6 +110,29 @@ class TestSpectralInterval:
             spectral_interval(np.eye(2), delta=0.0)
         with pytest.raises(ValueError):
             spectral_interval(np.eye(2), epsilon=1.5)
+
+    def test_every_restart_runs_to_the_cap(self):
+        # at step 300 the probabilistic bound still lies about 1e-4 above the
+        # Ritz value, so a width of 1e-5 is never met on a 302 x 301 Gaussian,
+        # whose Krylov spaces outlast the cap min(dim, 300): each of the
+        # ceil(log10(1/epsilon)) = 2 restarts runs to the cap, and the
+        # interval comes back wider than asked (about 1 s at one BLAS thread)
+        op = np.random.default_rng(8).standard_normal((302, 301))
+        itv = spectral_interval(op, delta=1e-5, epsilon=1e-2, seed=0)
+        assert itv.iterations == 2 * 300
+        assert itv.ratio_not_met and itv.alpha2 > (1 + 1e-5) * itv.alpha1
+        assert itv.alpha1 <= np.linalg.norm(op, 2) <= itv.alpha2
+
+    def test_stops_at_the_first_ritz_value_within_the_width(self):
+        # every singular value lies in [1.9, 2] and det_bound is the norm, so
+        # step 1's Ritz value ||op v0|| already meets the width 0.1: the run
+        # returns it before it multiplies with op^T for the next one
+        op = np.diag(np.linspace(2.0, 1.9, 6))
+        itv = spectral_interval(op, delta=0.1, seed=3, det_bound=2.0)
+        v0 = np.random.default_rng(3).standard_normal(6)
+        theta = np.linalg.norm(op @ (v0 / np.linalg.norm(v0)))
+        assert itv.iterations == 1 and not itv.ratio_not_met
+        assert itv.alpha1 == pytest.approx(theta * (1 - 1e-12), rel=1e-14)
 
     def test_one_dimensional_op_rejected(self):
         with pytest.raises(ValueError, match="op must be a 2-D array"):
@@ -245,6 +268,16 @@ class TestSsceConfig:
         with pytest.raises(error, match=message):
             estimator(prob, CondParams(), SsceConfig(k=k, seed=0))
 
+    def test_single_direction_accepted(self, rng):
+        # k = 1 is a valid sample; for one output functional (l = 1) its one
+        # direction spans the output space, so the 2-norm estimate is exact
+        prob = random_ils(rng, m=10, n=4)
+        params = CondParams(L=np.eye(4)[:, [2]])
+        est = estimate_kappa2_ssce(prob, params, SsceConfig(k=1, seed=0))
+        assert est == pytest.approx(kappa_2ils(prob, params), rel=1e-12)
+        mixed, comp = estimate_kappa_inf_ssce(prob, CondParams(), SsceConfig(k=1, seed=0))
+        assert 0 < mixed <= comp < np.inf
+
 
 class TestSsce2:
     def test_full_basis_overestimates_two_norm(self, rng):
@@ -340,7 +373,7 @@ def _full_space_images(jac, g, Y):
     R^{m(n+1)}, written in coordinates rotated so that w_hat leads the rows
     and x_hat the columns of dA, from the same coordinates g = [g_A; g_B;
     g_b] and the rest Y ((m-1)(n-1) x k); Cholesky QR normalizes Z, and
-    each column goes through jac.apply.
+    the dense map of jac's generators takes Q.
     """
     m, n = jac.m, jac.n
     P, Qn = _reflector(jac.w), _reflector(jac.x)
@@ -354,7 +387,7 @@ def _full_space_images(jac, g, Y):
         Z[m * n:, j] = g[n + m:, j]
     R = np.linalg.cholesky(Z.T @ Z).T
     Q = np.linalg.solve(R.T, Z.T).T
-    return np.column_stack([jac.apply(unvec(q[: m * n], (m, n)), q[m * n:]) for q in Q.T])
+    return dense_generator_map(jac) @ Q
 
 
 class TestSubspaceDraw:
@@ -444,8 +477,7 @@ class TestSsceInf:
         mixed, comp = estimate_kappa_inf_ssce(
             prob, CondParams(), SsceConfig(k=t, seed=9)
         )
-        jac = prob.jacobian()
-        rownorms = np.linalg.norm(jac.dense(), axis=1)
+        rownorms = np.linalg.norm(dense_mg_oracle(prob), axis=1)
         x = prob.solution.x
         exp_mixed = rownorms.max() / np.abs(x).max()
         assert mixed == pytest.approx(exp_mixed, rel=1e-10)
@@ -458,7 +490,7 @@ class TestSsceInf:
         tls = TlsProblem(A, A @ rng.standard_normal(2) + 0.3 * rng.standard_normal(5))
         t = tls.m * (tls.n + 1)
         mixed, comp = estimate_kappa_inf_ssce(tls, CondParams(), SsceConfig(k=t, seed=9))
-        rownorms = np.linalg.norm(tls.jacobian().dense(), axis=1)
+        rownorms = np.linalg.norm(dense_tls_map(tls), axis=1)
         assert mixed == pytest.approx(rownorms.max() / np.abs(tls.x).max(), rel=1e-10)
         assert comp == pytest.approx(np.max(rownorms / np.abs(tls.x)), rel=1e-10)
 

@@ -11,7 +11,6 @@ from ilscond import (
     UndefinedConditionNumber,
     kappa_2ils,
     kappa_componentwise,
-    kappa_lls_svd_check,
     kappa_mixed,
     kappa_unified,
 )
@@ -21,8 +20,10 @@ from ilscond.exact import ROWSUM_BLOCK_ENTRIES, JacobianMg
 from ilscond.kron import ddagger, entrywise_div, vec
 
 from conftest import (
+    dense_generator_map,
     dense_mg_oracle,
     directional_derivative,
+    peak_traced_bytes,
     random_ils,
     rowsums_error_bound,
     rowsums_oracle,
@@ -44,31 +45,21 @@ class TestBuildMg:
     def test_action_matches_directional_derivative(self, rng):
         prob = random_ils(rng, m=12, n=5)
         L = rng.standard_normal((prob.n, 3))
-        jac = prob.jacobian(L)
+        mg = dense_generator_map(prob.jacobian(L))
         for _ in range(10):
             dA = rng.standard_normal(prob.A.shape)
             db = rng.standard_normal(prob.m)
             expected = directional_derivative(prob, L, dA, db)
-            got = jac.apply(dA, db)
+            got = mg @ np.concatenate([vec(dA), db])
             assert np.linalg.norm(got - expected) <= 1e-10 * max(
                 1.0, np.linalg.norm(expected)
             )
-
-    def test_rows_equal_dense_assembly(self, rng):
-        prob = random_ils(rng, m=6, n=3)
-        L = rng.standard_normal((prob.n, 3))
-        jac = prob.jacobian(L)
-        dense = jac.dense()
-        for i in range(jac.k):
-            Ra, rb = jac.row(i)
-            np.testing.assert_array_equal(np.abs(vec(Ra)), np.abs(dense[i, : 6 * 3]))
-            np.testing.assert_array_equal(np.abs(rb), np.abs(dense[i, 6 * 3 :]))
 
     def test_dense_matches_kronecker_oracle(self, rng):
         for _ in range(5):
             prob = random_ils(rng, m=6, n=3)
             L = rng.standard_normal((prob.n, 3))
-            dense = prob.jacobian(L).dense()
+            dense = dense_generator_map(prob.jacobian(L))
             oracle = dense_mg_oracle(prob, L)
             np.testing.assert_allclose(dense, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
 
@@ -77,29 +68,11 @@ class TestBuildMg:
         n = 4
         b = np.arange(1.0, n + 1)
         prob = IlsProblem(np.eye(n), b, SignatureSplit(n, 0))
-        jac = prob.jacobian()
+        mg = dense_generator_map(prob.jacobian())
         x = prob.solution.x
         for i in range(n):
-            Ra, rb = jac.row(i)
-            np.testing.assert_allclose(Ra, -np.outer(np.eye(n)[i], x), atol=1e-14)
-            np.testing.assert_allclose(rb, np.eye(n)[i], atol=1e-14)
-
-    def test_dense_memory_guard(self, rng, monkeypatch):
-        prob = random_ils(rng, m=10, n=4)
-        monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
-        with pytest.raises(MemoryError):
-            prob.jacobian().dense()
-
-    def test_dense_builds_a_new_array_per_call(self, rng, monkeypatch):
-        jac = random_ils(rng, m=10, n=4).jacobian()
-        first, second = jac.dense(), jac.dense()
-        assert not np.shares_memory(first, second)
-        assert first.flags.writeable and second.flags.writeable
-        np.testing.assert_array_equal(first, second)
-        # nothing was kept, so the guard still holds for this map
-        monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
-        with pytest.raises(MemoryError):
-            jac.dense()
+            np.testing.assert_allclose(mg[i, : n * n], vec(-np.outer(np.eye(n)[i], x)), atol=1e-14)
+            np.testing.assert_allclose(mg[i, n * n:], np.eye(n)[i], atol=1e-14)
 
 
 class TestKappaUnified:
@@ -139,18 +112,18 @@ class TestKappaUnified:
             kappa_unified(prob, CondParams(), 2, np.inf)
 
     @pytest.mark.parametrize("mu, nu", [(2, np.inf), (np.inf, 2), (1, 1)])
-    def test_unsupported_norm_pair_checked_before_any_work(self, rng, monkeypatch, mu, nu):
+    def test_unsupported_norm_pair_checked_before_any_work(self, rng, mu, nu):
         prob = random_ils(rng, m=8, n=4)
-        monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
         with pytest.raises(NotImplementedError):
             kappa_unified(prob, CondParams(), mu, nu)
+        assert prob._identity_jacobian is None
 
     def test_elementwise_zero_weight_drops_column(self, rng):
         prob = random_ils(rng, m=7, n=3)
         psi = np.ones(prob.A.shape)
         psi[0, 0] = 0.0
         params = CondParams(psi=psi, beta=np.ones(prob.m))
-        dense = prob.jacobian().dense()
+        dense = dense_mg_oracle(prob)
         w = np.concatenate([vec(psi), np.ones(prob.m)])
         expected = np.linalg.norm(dense * w[None, :], 2)
         assert rel_err(kappa_unified(prob, params, 2, 2), expected) <= 1e-12
@@ -163,7 +136,7 @@ class TestWeightedGram:
         Wa = rng.standard_normal(prob.A.shape)
         wb = rng.standard_normal(prob.m)
         s = rng.standard_normal(jac.k)
-        F = s[:, None] * jac.dense() * np.concatenate([vec(Wa), wb])[None, :]
+        F = s[:, None] * dense_generator_map(jac) * np.concatenate([vec(Wa), wb])[None, :]
         expected = F @ F.T
         np.testing.assert_allclose(
             jac.weighted_gram(Wa, wb, s), expected, rtol=0,
@@ -213,21 +186,23 @@ class TestWeightedGram:
         prob, _, _ = gen_example2(40, 12, 28, kappa, rho, seed=3)
         L = rng.standard_normal((prob.n, 4))
         for params in (CondParams(), CondParams(L=L, psi=0.7, beta=1.3, xi=2.0)):
-            dense = prob.jacobian(params.l_matrix(prob.n)).dense()
+            dense = dense_generator_map(prob.jacobian(params.l_matrix(prob.n)))
             got = kappa_unified(prob, params, 2, 2)
             assert rel_err(got, weighted_dense_norm(dense, params, prob.m, prob.n)) <= 1e-12
             assert rel_err(got, kappa_2ils(prob, params)) <= 1e-9
 
-    def test_does_not_materialise_the_map(self, rng, monkeypatch):
-        prob = random_ils(rng, m=10, n=4)
+    def test_does_not_materialise_the_map(self, rng):
+        # the scalar-weight path reads the k x (2m + n) S, the elementwise one
+        # a few m x n arrays; the k x (m n + m) map would hold 8 k (m n + m) bytes
+        prob = random_ils(rng, m=400, n=40)
         cases = [
-            CondParams(L=rng.standard_normal((prob.n, 2)), psi=1.2, xi=0.5),
+            CondParams(L=rng.standard_normal((prob.n, 20)), psi=1.2, xi=0.5),
             CondParams(psi=np.abs(rng.standard_normal(prob.A.shape)),
                        beta=np.abs(rng.standard_normal(prob.m))),
         ]
-        before = [kappa_unified(prob, p, 2, 2) for p in cases]
-        monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
-        assert [kappa_unified(prob, p, 2, 2) for p in cases] == before
+        for params, k in zip(cases, (20, prob.n)):
+            peak = peak_traced_bytes(lambda: kappa_unified(prob, params, 2, 2))
+            assert peak < 8 * k * (prob.m * prob.n + prob.m) / 2
 
 
 def check_rowsums(jac, Wa, wb):
@@ -431,8 +406,7 @@ class TestKappaInf:
 
 
 class TestLlsSvdCheck:
-    def test_identity(self):
-        assert kappa_lls_svd_check(np.eye(4), np.zeros(4)) == pytest.approx(1.0)
+    """The J = I least squares reduction of kappa_2ils, against the Kronecker map and a closed form."""
 
     def test_matches_ils_reduction(self, rng):
         for _ in range(5):
@@ -440,9 +414,8 @@ class TestLlsSvdCheck:
             b = rng.standard_normal(15)
             prob = IlsProblem(A, b, SignatureSplit(15, 0))
             params = CondParams(psi=1.1, beta=0.8, xi=1.5)
-            assert rel_err(
-                kappa_lls_svd_check(A, b, params), kappa_2ils(prob, params)
-            ) <= 1e-9
+            expected = weighted_dense_norm(dense_mg_oracle(prob), params, 15, 6)
+            assert rel_err(kappa_2ils(prob, params), expected) <= 1e-9
 
     def test_single_column_scalar_formula(self, rng):
         A = rng.standard_normal((12, 5))
@@ -458,13 +431,8 @@ class TestLlsSvdCheck:
             psi**2 * (r @ r) * np.linalg.norm(L.T @ AtA_inv) ** 2
             + (psi**2 * (x @ x) + beta**2) * np.linalg.norm(L.T @ pinv) ** 2
         )
-        assert rel_err(kappa_lls_svd_check(A, b, params), expected) <= 1e-10
-
-    def test_rank_deficient_rejected(self):
-        A = np.zeros((6, 3))
-        A[:, 0] = 1.0
-        with pytest.raises(np.linalg.LinAlgError):
-            kappa_lls_svd_check(A, np.ones(6))
+        prob = IlsProblem(A, b, SignatureSplit(12, 0))
+        assert rel_err(kappa_2ils(prob, params), expected) <= 1e-10
 
 
 class TestPerturbationConsistency:
@@ -473,7 +441,7 @@ class TestPerturbationConsistency:
         params = CondParams()
         kappa = kappa_2ils(prob, params)
         h = 1e-7
-        dense = prob.jacobian().dense()
+        dense = dense_mg_oracle(prob)
         _, _, vt = np.linalg.svd(dense, full_matrices=False)
         best = 0.0
         directions = [vt[0]] + [

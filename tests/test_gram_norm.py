@@ -25,7 +25,6 @@ from ilscond import (
     kappa_2ils,
     kappa_2tls,
     kappa_componentwise,
-    kappa_lls_svd_check,
     kappa_mixed,
     kappa_mixed_tls,
     kappa_unified,
@@ -35,7 +34,7 @@ from ilscond.exact import JacobianMg
 from ilscond.ils import SpdFactor
 from ilscond.kron import ddagger
 
-from conftest import random_ils
+from conftest import dense_mg_oracle, random_ils
 from test_report import _toeplitz_tls
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -327,8 +326,8 @@ def test_tls_left_orthogonal_invariance(seed, t):
 
 @given(SEEDS, WEIGHTS)
 def test_identity_signature_matches_svd_oracle(seed, w):
-    # J = I: ordinary least squares, where the thin-SVD closed form is an
-    # independent oracle for the Gram route
+    # J = I: ordinary least squares, where the SVD of the weighted Kronecker
+    # map is an independent oracle for the Gram route
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 9))
     m = int(rng.integers(n + 1, 20))
@@ -336,7 +335,9 @@ def test_identity_signature_matches_svd_oracle(seed, w):
     b = rng.standard_normal(m)
     params = CondParams(psi=w[0], beta=w[1], xi=1.5)
     prob = IlsProblem(A, b, SignatureSplit(m, 0))
-    assert rel_err(kappa_2ils(prob, params), kappa_lls_svd_check(A, b, params)) <= 1e-9
+    weights = np.repeat(w, [m * n, m])
+    expected = np.linalg.norm(dense_mg_oracle(prob) * weights, 2) / 1.5
+    assert rel_err(kappa_2ils(prob, params), expected) <= 1e-9
 
 
 @given(SEEDS, WEIGHTS, st.floats(1e-3, 1e3))

@@ -16,7 +16,7 @@ x moves by more than n eps cond(F) under a row permutation alone.
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, Verbosity, assume, given, settings
 from hypothesis import strategies as st
 
 from ilscond import (
@@ -171,7 +171,7 @@ def test_two_norm_values_scale_inversely_with_data(kind, seed, shape, k):
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 1: the mixed/componentwise small-sample estimator pushes unweighted "
     "directions through the map, so it scales as 1/s while the exact values do not"))
-@settings(phases=[Phase.generate])  # expected to fail, so no shrinking
+@settings(phases=[Phase.generate], verbosity=Verbosity.quiet)  # expected to fail, so no shrinking
 @given(KINDS, SEEDS, SHAPES, SCALE_EXPONENTS)
 def test_mixed_estimate_ratios_free_of_data_scale(kind, seed, shape, k):
     problem, scaled = _scaled_pair(kind, seed, shape, k)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ilscond.kron import entrywise_div, unvec, vec
+from ilscond.kron import entrywise_div, vec
 
 
 class TestEntrywiseDiv:
@@ -44,12 +44,3 @@ class TestVec:
     def test_row_matrix(self):
         row = np.array([[5.0, 6.0, 7.0]])
         np.testing.assert_array_equal(vec(row), [5, 6, 7])
-
-    def test_unvec_roundtrip(self):
-        rng = np.random.default_rng(1)
-        A = rng.standard_normal((4, 3))
-        np.testing.assert_array_equal(unvec(vec(A), (4, 3)), A)
-
-    def test_unvec_bad_length(self):
-        with pytest.raises(ValueError):
-            unvec(np.ones(5), (2, 3))

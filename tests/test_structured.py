@@ -23,7 +23,7 @@ from ilscond.bench import gen_example3
 from ilscond.kron import ddagger, entrywise_div
 from ilscond.structured import basis_from_token
 
-from conftest import dense_mg_oracle, random_ils
+from conftest import dense_basis, dense_mg_oracle, random_ils
 
 
 def rel_err(a, b):
@@ -47,7 +47,7 @@ class TestBases:
     ])
     def test_phi_columns_orthogonal(self, kind, m, n):
         basis = make_basis(kind, m, n)
-        phi = basis.dense()
+        phi = dense_basis(basis)
         gram = phi.T @ phi
         np.testing.assert_allclose(gram, np.diag(basis.d**2), atol=1e-14)
 
@@ -59,7 +59,7 @@ class TestBases:
                 cases.append(("stacked_scaled", size, max(2, size // 2)))
             for kind, m, n in cases:
                 basis = make_basis(kind, m, n)
-                phi = basis.dense()
+                phi = dense_basis(basis)
                 np.testing.assert_allclose(
                     phi.T @ phi, np.diag(basis.d**2), atol=1e-13
                 )
@@ -209,7 +209,7 @@ def _structured_instance(rng, n=8):
 def _dense_blkdiag_oracle(prob, sparams, L=None):
     mg = dense_mg_oracle(prob, L)
     mn = prob.m * prob.n
-    return mg[:, :mn] @ sparams.basisA.dense(), mg[:, mn:]
+    return mg[:, :mn] @ dense_basis(sparams.basisA), mg[:, mn:]
 
 
 class TestStructuredKappas:
@@ -291,7 +291,7 @@ class TestStructuredKappas:
 
         P = dense_vec_perm(m, n)
         blockA = np.kron(r[None, :], AtA_inv) @ P - np.kron(x[None, :], pinv)
-        phi1 = basis.dense()
+        phi1 = dense_basis(basis)
         s1 = basis.extract(A)
         num = np.abs(blockA @ phi1) @ np.abs(s1) + np.abs(pinv) @ np.abs(b)
         exp_m = num.max() / np.abs(x).max()

@@ -26,6 +26,8 @@ from ilscond.exact import JacobianMg
 from ilscond.kron import vec
 from ilscond.structured import MATRIX_KINDS
 
+from conftest import dense_basis, dense_generator_map
+
 SEEDS = st.integers(0, 2**32 - 1)
 POWERS = st.integers(-60, 60)
 
@@ -48,11 +50,12 @@ def bases(draw, max_dim=12):
 def _blkdiag_reference(jac, basis_a):
     """Dense product Mg_A Phi_A, |Mg_A| |Phi_A|, and the sums of the absolute
     terms w_i U[c] and x_c V[i] that the product rounds."""
-    mg = jac.dense()[:, :jac.m * jac.n]
-    pa = np.abs(basis_a.dense())
-    terms = JacobianMg(np.abs(jac.w), np.abs(jac.U), -np.abs(jac.V), np.abs(jac.x),
-                       jac.A, jac.b).dense()[:, :jac.m * jac.n]
-    return mg @ basis_a.dense(), np.abs(mg) @ pa, terms @ pa
+    mn = jac.m * jac.n
+    mg = dense_generator_map(jac)[:, :mn]
+    phi = dense_basis(basis_a)
+    terms = dense_generator_map(JacobianMg(np.abs(jac.w), np.abs(jac.U), -np.abs(jac.V),
+                                           np.abs(jac.x), jac.A, jac.b))[:, :mn]
+    return mg @ phi, np.abs(mg) @ np.abs(phi), terms @ np.abs(phi)
 
 
 @given(bases())
@@ -60,7 +63,7 @@ def test_entries_sorted_and_gram_diagonal(basis):
     assert np.all(np.diff(basis.param) >= 0)
     assert basis.param.size == basis.index.size == basis.value.size
     assert np.array_equal(np.unique(basis.param), np.arange(basis.k))
-    phi = basis.dense()
+    phi = dense_basis(basis)
     gram = phi.T @ phi
     assert np.count_nonzero(gram - np.diag(np.diag(gram))) == 0
     np.testing.assert_allclose(np.diag(gram), basis.d**2, rtol=1e-15)
@@ -71,7 +74,7 @@ def test_extract_inverts_embed(basis, seed):
     s = np.random.default_rng(seed).standard_normal(basis.k)
     data = basis.embed(s)
     assert data.shape == basis.shape
-    np.testing.assert_array_equal(vec(data), basis.dense() @ s)
+    np.testing.assert_array_equal(vec(data), dense_basis(basis) @ s)
     np.testing.assert_allclose(basis.extract(data), s, rtol=1e-14, atol=1e-15)
 
 

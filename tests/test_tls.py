@@ -5,7 +5,6 @@ import warnings
 import numpy as np
 import pytest
 
-import ilscond.exact
 import ilscond.ils
 from ilscond import (
     CondParams,
@@ -24,7 +23,7 @@ from ilscond import (
 )
 from ilscond.kron import entrywise_div, vec
 
-from conftest import dense_tls_map
+from conftest import dense_basis, dense_generator_map, dense_tls_map, peak_traced_bytes
 from mp_oracle import mp_tls_x
 
 
@@ -286,16 +285,17 @@ class TestKappa2Tls:
         b = A @ rng.standard_normal(n) + 1e-3 * s[-1] * rng.standard_normal(m)
         tls = TlsProblem(A, b)
         for L in (None, rng.standard_normal((n, 3))):
-            expected = np.linalg.norm(tls.jacobian(L).dense(), 2)
+            expected = np.linalg.norm(dense_generator_map(tls.jacobian(L)), 2)
             assert rel_err(kappa_2tls(tls, CondParams(L=L)), expected) <= 1e-12
 
-    def test_does_not_materialise_the_map(self, rng, monkeypatch):
-        A, b = random_tls(rng, m=10, n=3)
+    def test_does_not_materialise_the_map(self, rng):
+        # the k x (m n + m) map would hold 8 k (m n + m) bytes
+        A, b = random_tls(rng, m=400, n=40)
         tls = TlsProblem(A, b)
-        params = CondParams(L=rng.standard_normal((3, 2)), psi=1.1, beta=0.9, xi=1.3)
-        before = [kappa_2tls(tls), kappa_2tls(tls, params)]
-        monkeypatch.setattr(ilscond.exact, "DENSE_ENTRY_GUARD", 10)
-        assert [kappa_2tls(tls), kappa_2tls(tls, params)] == before
+        params = CondParams(L=rng.standard_normal((40, 20)), psi=1.1, beta=0.9, xi=1.3)
+        for params, k in ((CondParams(), 40), (params, 20)):
+            peak = peak_traced_bytes(lambda: kappa_2tls(tls, params))
+            assert peak < 8 * k * (400 * 40 + 400) / 2
 
     def test_continuity_toward_consistency(self, rng):
         A = rng.standard_normal((10, 3))
@@ -360,7 +360,7 @@ class TestKappaInfTls:
         A, b = random_tls(rng, m=7, n=3)
         tls = TlsProblem(A, b)
         jac = tls.jacobian()
-        np.testing.assert_allclose(jac.dense(), dense_tls_map(tls), rtol=1e-10,
+        np.testing.assert_allclose(dense_generator_map(jac), dense_tls_map(tls), rtol=1e-10,
                                    atol=1e-12)
 
 
@@ -403,7 +403,7 @@ class TestStructuredTls:
         params = CondParams()
         mg = dense_tls_map(tls)
         mn = tls.m * tls.n
-        GA = mg[:, :mn] @ sparams.basisA.dense()
+        GA = mg[:, :mn] @ dense_basis(sparams.basisA)
         GB = mg[:, mn:]
         exp_two = np.linalg.norm(np.hstack([GA / sparams.basisA.d, GB]), 2)
         report = ConditionReport(tls, params, sparams)
